@@ -141,53 +141,41 @@ echo "=== profile baseline check (BENCH_baseline.json) ==="
 # refresh with: cargo run --release -p vic-bench --bin profile -- baseline
 cargo run --release -p vic-bench --bin profile --offline -q -- --check-baseline
 
-echo "=== serve smoke (cold/warm result cache, BENCH_serve.json) ==="
-# The experiment service: start a real server on an ephemeral port with a
-# fresh store, run the cold/warm cache benchmark (cold submit runs all 23
-# quick Table-4+5 specs; warm submits must be all cache hits AND
-# byte-identical AND >= 10x faster — `client check` asserts all three),
-# confirm the metrics counters saw the hits and that serving a hit is
-# faster than running a miss, then shut down gracefully. After an
-# intentional engine change, regenerate the committed fixture with:
-#   serve --store <fresh-dir> --port <p> &  client bench --port <p>
-serve_store="$(mktemp -d)"; serve_log="$(mktemp)"; serve_bench="$(mktemp)"
-cargo run --release -p vic-serve --bin serve --offline -q -- \
-    --store "$serve_store" --port 0 > "$serve_log" &
-serve_pid=$!
-i=0
-while ! grep -q 'listening on' "$serve_log"; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || { echo "serve never came up"; kill "$serve_pid" 2>/dev/null || true; exit 1; }
-    sleep 0.1
-done
-serve_port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$serve_log" | head -1)"
-cargo run --release -p vic-serve --bin client --offline -q -- \
-    bench --reps 3 --json "$serve_bench" --port "$serve_port" >/dev/null
-cargo run --release -p vic-serve --bin client --offline -q -- \
-    check "$serve_bench" >/dev/null
-serve_metrics="$(mktemp)"
-cargo run --release -p vic-serve --bin client --offline -q -- \
-    metrics --port "$serve_port" > "$serve_metrics"
-awk '/^cache_hits_/ {hits += $2} END {exit (hits >= 1) ? 0 : 1}' "$serve_metrics" \
-    || { echo "serve metrics show no cache hits"; exit 1; }
-awk '/^hit_serve_ns_mean/ {hit = $2} /^miss_run_ns_mean/ {miss = $2}
-     END {exit (hit > 0 && miss > 0 && hit < miss) ? 0 : 1}' "$serve_metrics" \
-    || { echo "cache hit path is not faster than the miss (run) path"; exit 1; }
-cargo run --release -p vic-serve --bin client --offline -q -- \
-    shutdown --port "$serve_port" >/dev/null
-i=0
-while kill -0 "$serve_pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || { echo "serve did not stop within 10s of shutdown"; kill "$serve_pid"; exit 1; }
-    sleep 0.1
-done
-wait "$serve_pid" || { echo "serve exited nonzero"; exit 1; }
-rm -rf "$serve_store"; rm -f "$serve_log" "$serve_bench" "$serve_metrics"
-# The committed fixture must still hold its claims (schema, recomputed
-# speedup, the >= 10x floor).
-cargo run --release -p vic-serve --bin client --offline -q -- \
-    check BENCH_serve.json >/dev/null
-grep -q '^{"engine_version":3,"grid":"table45",' BENCH_serve.json \
-    || { echo "serve fixture schema drifted"; exit 1; }
+echo "=== result-cache smoke (sweep --cache) ==="
+# A cold sweep fills a fresh cache directory; a warm sweep must serve all
+# 23 runs from it, print the same tables and write the same JSON (minus
+# host time). A torn cache file must be dropped, re-run and rewritten.
+cache_dir="$(mktemp -d)"; cold_out="$(mktemp)"; warm_out="$(mktemp)"
+cold_json="$(mktemp)"; warm_json="$(mktemp)"
+cached_sweep() {
+    cargo run --release -p vic-bench --bin sweep --offline -q -- \
+        --quick --cache "$cache_dir" --json "$1" > "$2"
+}
+tables() { sed -n '/^Table 4/,/^cache:/p' "$1" | grep -v '^cache:'; }
+strip_all_wall() { sed 's/"wall_seconds":[0-9.e+-]*//g' "$1"; }
+cached_sweep "$cold_json" "$cold_out"
+cached_sweep "$warm_json" "$warm_out"
+grep -q '^cache: 23 hits, 0 misses' "$warm_out" \
+    || { echo "warm sweep did not hit the cache 23 times"; exit 1; }
+[ "$(tables "$cold_out")" = "$(tables "$warm_out")" ] \
+    || { echo "cached tables differ from the cold run's"; exit 1; }
+[ "$(strip_all_wall "$cold_json")" = "$(strip_all_wall "$warm_json")" ] \
+    || { echo "cached sweep JSON differs from the cold run's"; exit 1; }
+torn="$(ls "$cache_dir"/vic-*.json | head -n 1)"
+intact="$(mktemp)"; cp "$torn" "$intact"
+head -c 100 "$intact" > "$torn"
+cached_sweep "$warm_json" "$warm_out"
+grep -q '^cache: .* 0 misses' "$warm_out" && { echo "torn cache file was served"; exit 1; }
+cmp -s "$torn" "$intact" || { echo "torn cache file was not rewritten"; exit 1; }
+[ "$(tables "$cold_out")" = "$(tables "$warm_out")" ] \
+    || { echo "tables changed after re-running a torn entry"; exit 1; }
+rm -rf "$cache_dir"; rm -f "$cold_out" "$warm_out" "$cold_json" "$warm_json" "$intact"
+
+echo "=== repository benchmark (unit tests + one quick round) ==="
+# The benchmark is a package of its own under examples/benchmark; its
+# tests and a one-round --smoke set keep it building and running.
+cargo test --offline -q --manifest-path examples/benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- \
+    --smoke >/dev/null
 
 echo "CI OK"

@@ -12,6 +12,7 @@
 //! cargo run --release -p vic-bench --bin sweep -- --quick --threads 4 --json results.json
 //! cargo run --release -p vic-bench --bin sweep -- --quick --progress --metrics fleet.json
 //! cargo run --release -p vic-bench --bin sweep -- --check-metrics fleet.json
+//! cargo run --release -p vic-bench --bin sweep -- --quick --cache results/
 //! ```
 //!
 //! With `--metrics <file>` the sweep also exports fleet telemetry — runs
@@ -19,7 +20,11 @@
 //! — as one versioned JSON document whose totals `--check-metrics`
 //! cross-validates against the per-run list. `--progress` forces a live
 //! progress/ETA line on stderr (on by default when stderr is a terminal).
+//! `--cache <dir>` reuses the results stored in `dir` and stores every
+//! spec it runs (see `vic_bench::cache` for the key and the validation);
+//! the printed tables and JSON are the same as without it.
 
+use vic_bench::cache::ResultCache;
 use vic_bench::cli::{self, SweepCli};
 use vic_bench::experiments::{group_table4, render_table4_group};
 use vic_bench::output::{metrics_json, parse_metrics_doc, sweep_json, RunMetric};
@@ -42,9 +47,10 @@ fn main() {
         metrics,
         progress,
         check_metrics,
+        cache,
     } = cli::parse_sweep(&args).unwrap_or_else(|e| {
         eprintln!(
-            "sweep: {e}\nusage: sweep [--quick] [--threads <n>] [--json <file>] [--metrics <file>] [--progress]\n       sweep --check-metrics <file>"
+            "sweep: {e}\nusage: sweep [--quick] [--threads <n>] [--json <file>] [--metrics <file>] [--progress] [--cache <dir>]\n       sweep --check-metrics <file>"
         );
         std::process::exit(2);
     });
@@ -63,6 +69,12 @@ fn main() {
         }
         return;
     }
+
+    let store = cache
+        .as_deref()
+        .map(ResultCache::open)
+        .transpose()
+        .unwrap_or_else(|e| fail(e.to_string()));
 
     let mut specs = SystemSpec::table4_grid(quick);
     let table5_start = specs.len();
@@ -86,7 +98,7 @@ fn main() {
     } else {
         ProgressReporter::stderr("sweep", specs.len() as u64)
     };
-    let obs = run_observed_sweep_with_threads(&specs, threads, &reporter);
+    let obs = run_observed_sweep_with_threads(&specs, threads, &reporter, store.as_ref());
     for (spec, msg) in &obs.failures {
         eprintln!("sweep: run {} FAILED: {msg}", spec.label());
     }
@@ -152,6 +164,17 @@ fn main() {
             fail(e.to_string());
         }
         println!("metrics: fleet telemetry written to {path}");
+    }
+    if let Some(dir) = &cache {
+        println!(
+            "cache: {} hits, {} misses in {dir}",
+            obs.metrics.counter("cache_hits"),
+            obs.metrics.counter("cache_misses")
+        );
+        let errors = obs.metrics.counter("cache_store_errors");
+        if errors > 0 {
+            eprintln!("sweep: warning: {errors} results could not be stored in {dir}");
+        }
     }
     let simulated: f64 = obs.results.iter().map(|r| r.stats.seconds).sum();
     println!(

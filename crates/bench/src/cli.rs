@@ -376,11 +376,14 @@ pub struct SweepCli {
     /// Validation mode: parse an existing metrics file, check its schema
     /// and that fleet totals equal the per-run sums, and exit.
     pub check_metrics: Option<String>,
+    /// Result-cache directory: reuse the results stored there and store
+    /// every spec run (see [`crate::cache`]).
+    pub cache: Option<String>,
 }
 
 /// Parse the `sweep` binary's arguments:
 /// `[--quick] [--threads <n>] [--json <file>] [--metrics <file>]
-/// [--progress]` or `--check-metrics <file>`.
+/// [--progress] [--cache <dir>]` or `--check-metrics <file>`.
 ///
 /// # Errors
 ///
@@ -392,6 +395,7 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepCli, CliError> {
     let mut json: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut check_metrics: Option<String> = None;
+    let mut cache: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -401,12 +405,18 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepCli, CliError> {
             "--json" => set_value(&mut json, "--json", it.next())?,
             "--metrics" => set_value(&mut metrics, "--metrics", it.next())?,
             "--check-metrics" => set_value(&mut check_metrics, "--check-metrics", it.next())?,
+            "--cache" => set_value(&mut cache, "--cache", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => return Err(CliError::UnexpectedArg(s.to_string())),
         }
     }
     if check_metrics.is_some()
-        && (quick || progress || threads.is_some() || json.is_some() || metrics.is_some())
+        && (quick
+            || progress
+            || threads.is_some()
+            || json.is_some()
+            || metrics.is_some()
+            || cache.is_some())
     {
         return Err(CliError::Conflicting(
             "--check-metrics takes no sweep flags".to_string(),
@@ -420,6 +430,7 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepCli, CliError> {
         metrics,
         progress,
         check_metrics,
+        cache,
     })
 }
 
@@ -1253,6 +1264,25 @@ mod tests {
         ));
         assert!(matches!(
             parse_sweep(&s(&["--check-metrics", "m.json", "--progress"])),
+            Err(CliError::Conflicting(_))
+        ));
+    }
+
+    #[test]
+    fn sweep_cache_grammar() {
+        assert_eq!(parse_sweep(&s(&["--quick"])).unwrap().cache, None);
+        let cli = parse_sweep(&s(&["--cache", "d", "--quick"])).unwrap();
+        assert_eq!(cli.cache.as_deref(), Some("d"));
+        assert!(matches!(
+            parse_sweep(&s(&["--cache"])),
+            Err(CliError::MissingValue("--cache"))
+        ));
+        assert!(matches!(
+            parse_sweep(&s(&["--cache", "a", "--cache", "b"])),
+            Err(CliError::Conflicting(_))
+        ));
+        assert!(matches!(
+            parse_sweep(&s(&["--check-metrics", "m.json", "--cache", "d"])),
             Err(CliError::Conflicting(_))
         ));
     }

@@ -49,18 +49,6 @@ impl SystemSpec {
         w.into_words()
     }
 
-    /// The canonical byte encoding (the words of [`canonical_words`]
-    /// little-endian, eight bytes each) — the form external tools hash or
-    /// store.
-    ///
-    /// [`canonical_words`]: SystemSpec::canonical_words
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        self.canonical_words()
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect()
-    }
-
     /// The content-addressed cache key of this spec's result:
     /// `fxhash(ENGINE_VERSION ++ canonical_words)`. Two specs share a
     /// digest only if they describe the same run under the same engine,
@@ -73,8 +61,8 @@ impl SystemSpec {
 }
 
 /// Parse a [`spec_json`](crate::output::spec_json) object back to a
-/// [`SystemSpec`] — the inverse used by checkpoint files and the
-/// experiment service's submit protocol.
+/// [`SystemSpec`] — the inverse used by checkpoint files and cached run
+/// documents.
 ///
 /// # Errors
 ///
@@ -112,18 +100,6 @@ mod tests {
     use vic_core::policy::Configuration;
     use vic_os::SystemKind;
     use vic_workloads::WorkloadKind;
-
-    #[test]
-    fn canonical_bytes_are_the_words_little_endian() {
-        let spec = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Utah);
-        let words = spec.canonical_words();
-        let bytes = spec.canonical_bytes();
-        assert_eq!(bytes.len(), words.len() * 8);
-        assert_eq!(&bytes[..8], b"VICSPEC1", "tag leads the encoding");
-        for (i, w) in words.iter().enumerate() {
-            assert_eq!(bytes[i * 8..(i + 1) * 8], w.to_le_bytes());
-        }
-    }
 
     /// Committed test vectors: these digests are the on-disk cache keys of
     /// real specs at ENGINE_VERSION 3. If this test fails, the canonical

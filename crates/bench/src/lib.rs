@@ -11,6 +11,7 @@
 //! | Table 5 (system comparison) | `table5` | [`experiments::table5`] |
 //! | §2.5 alias microbenchmark | `microbench` | [`experiments::microbench`] |
 //! | Tables 4+5 in parallel, JSON results | `sweep` | [`sweep::run_sweep`] |
+//! | on-disk result cache (`sweep --cache`) | `sweep` | [`cache::ResultCache`] |
 //! | cycle-cost attribution, diffs, perf baseline | `profile` | [`profile`] |
 //! | host wall-clock throughput, `BENCH_host.json` | `hostbench` | [`hostbench`] |
 //!
@@ -32,6 +33,7 @@
 //! wins, by what factor, where the costs sit — is asserted in
 //! `tests/experiments.rs` at the workspace root.
 
+pub mod cache;
 pub mod checkpoint;
 pub mod cli;
 pub mod digest;

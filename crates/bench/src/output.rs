@@ -33,13 +33,16 @@
 use std::fmt::Write as _;
 
 use vic_core::manager::{CauseCounts, MgrStats, OpCause};
+use vic_core::ENGINE_VERSION;
 use vic_machine::{MachineStats, OpStat};
 use vic_metrics::MetricsShard;
 use vic_os::OsStats;
+use vic_profile::{parse_json, JsonValue};
 use vic_trace::Histogram;
 use vic_workloads::RunStats;
 
 use crate::cli::system_cli_name;
+use crate::digest::spec_from_json;
 use crate::spec::SystemSpec;
 use crate::sweep::Sweep;
 
@@ -269,6 +272,128 @@ pub fn run_json(spec: &SystemSpec, stats: &RunStats, wall_seconds: Option<f64>) 
         .finish()
 }
 
+fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+}
+
+fn obj_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+}
+
+fn op_stat_from_json(v: &JsonValue) -> Result<OpStat, String> {
+    Ok(OpStat {
+        count: u64_field(v, "count")?,
+        cycles: u64_field(v, "cycles")?,
+    })
+}
+
+fn cause_counts_from_json(v: &JsonValue) -> Result<CauseCounts, String> {
+    let JsonValue::Obj(fields) = obj_field(v, "by_cause")? else {
+        return Err("'by_cause' is not an object".to_string());
+    };
+    let mut counts = CauseCounts::default();
+    for (key, n) in fields {
+        let cause = OpCause::ALL
+            .into_iter()
+            .find(|&c| cause_key(c) == key)
+            .ok_or_else(|| format!("unknown cause '{key}'"))?;
+        let n = n
+            .as_u64()
+            .ok_or_else(|| format!("non-integer count for cause '{key}'"))?;
+        counts.add(cause, n);
+    }
+    Ok(counts)
+}
+
+/// Parse a [`run_json`] document back to the spec and statistics it was
+/// written from: the reader behind the sweep result cache. A
+/// `wall_seconds` field is ignored. Redundant fields (cause totals) are
+/// not cross-checked; a caller that must know the document is exactly
+/// what this engine writes re-emits the result with [`run_json`] and
+/// compares bytes.
+///
+/// # Errors
+///
+/// A message naming the JSON error, the engine-version mismatch, or the
+/// first missing or mistyped field.
+pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
+    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
+    let version = u64_field(&doc, "engine_version")?;
+    if version != ENGINE_VERSION {
+        return Err(format!(
+            "engine_version {version} != supported {ENGINE_VERSION}"
+        ));
+    }
+    let spec = spec_from_json(obj_field(&doc, "spec")?)?;
+    let str_field = |key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    };
+    let m = obj_field(&doc, "machine")?;
+    let machine = MachineStats {
+        loads: u64_field(m, "loads")?,
+        stores: u64_field(m, "stores")?,
+        ifetches: u64_field(m, "ifetches")?,
+        d_hits: u64_field(m, "d_hits")?,
+        d_misses: u64_field(m, "d_misses")?,
+        i_hits: u64_field(m, "i_hits")?,
+        i_misses: u64_field(m, "i_misses")?,
+        writebacks: u64_field(m, "writebacks")?,
+        uncached: u64_field(m, "uncached")?,
+        tlb_misses: u64_field(m, "tlb_misses")?,
+        d_flush_pages: op_stat_from_json(obj_field(m, "d_flush_pages")?)?,
+        d_purge_pages: op_stat_from_json(obj_field(m, "d_purge_pages")?)?,
+        i_purge_pages: op_stat_from_json(obj_field(m, "i_purge_pages")?)?,
+        flush_writebacks: u64_field(m, "flush_writebacks")?,
+        dma_writes: u64_field(m, "dma_writes")?,
+        dma_reads: u64_field(m, "dma_reads")?,
+    };
+    let g = obj_field(&doc, "mgr")?;
+    let mgr = MgrStats {
+        d_flush_pages: cause_counts_from_json(obj_field(g, "d_flush_pages")?)?,
+        d_purge_pages: cause_counts_from_json(obj_field(g, "d_purge_pages")?)?,
+        i_purge_pages: cause_counts_from_json(obj_field(g, "i_purge_pages")?)?,
+    };
+    let o = obj_field(&doc, "os")?;
+    let os = OsStats {
+        mapping_faults: u64_field(o, "mapping_faults")?,
+        consistency_faults: u64_field(o, "consistency_faults")?,
+        zero_fills: u64_field(o, "zero_fills")?,
+        page_copies: u64_field(o, "page_copies")?,
+        ipc_transfers: u64_field(o, "ipc_transfers")?,
+        cow_faults: u64_field(o, "cow_faults")?,
+        cow_copies: u64_field(o, "cow_copies")?,
+        d2i_copies: u64_field(o, "d2i_copies")?,
+        fs_reads: u64_field(o, "fs_reads")?,
+        fs_writes: u64_field(o, "fs_writes")?,
+        buf_misses: u64_field(o, "buf_misses")?,
+        buf_writebacks: u64_field(o, "buf_writebacks")?,
+        tasks_created: u64_field(o, "tasks_created")?,
+        pages_allocated: u64_field(o, "pages_allocated")?,
+        pages_freed: u64_field(o, "pages_freed")?,
+        page_outs: u64_field(o, "page_outs")?,
+        page_ins: u64_field(o, "page_ins")?,
+    };
+    let stats = RunStats {
+        workload: str_field("workload")?,
+        system: str_field("system")?,
+        cycles: u64_field(&doc, "elapsed_cycles")?,
+        seconds: doc
+            .get("elapsed_seconds")
+            .and_then(JsonValue::as_f64)
+            .ok_or("missing or non-numeric field 'elapsed_seconds'")?,
+        machine,
+        mgr,
+        os,
+        oracle_violations: u64_field(&doc, "oracle_violations")?,
+    };
+    Ok((spec, stats))
+}
+
 /// One profiled run as a JSON object: the entry format of a profile
 /// document (read back by `vic_profile::ProfileDoc`). Runs are matched
 /// between documents by the spec's label.
@@ -406,21 +531,15 @@ pub struct MetricsDoc {
 /// A message naming the missing field, version mismatch, or the first
 /// fleet total that disagrees with the run list.
 pub fn parse_metrics_doc(text: &str) -> Result<MetricsDoc, String> {
-    let doc = vic_profile::parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
-    let u64_field = |v: &vic_profile::JsonValue, key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(vic_profile::JsonValue::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-    };
+    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
     let version = u64_field(&doc, "engine_version")?;
-    if version != vic_core::ENGINE_VERSION {
+    if version != ENGINE_VERSION {
         return Err(format!(
-            "engine_version {version} != supported {}",
-            vic_core::ENGINE_VERSION
+            "engine_version {version} != supported {ENGINE_VERSION}"
         ));
     }
     let threads = u64_field(&doc, "threads")?;
-    let fleet = doc.get("fleet").ok_or("missing field 'fleet'")?;
+    let fleet = obj_field(&doc, "fleet")?;
     let runs_completed = u64_field(fleet, "runs_completed")?;
     let runs_failed = u64_field(fleet, "runs_failed")?;
     let sim_cycles = u64_field(fleet, "sim_cycles")?;
@@ -428,7 +547,7 @@ pub fn parse_metrics_doc(text: &str) -> Result<MetricsDoc, String> {
     let mut runs = Vec::new();
     for (i, r) in doc
         .get("runs")
-        .and_then(vic_profile::JsonValue::as_arr)
+        .and_then(JsonValue::as_arr)
         .ok_or("missing array 'runs'")?
         .iter()
         .enumerate()
@@ -436,7 +555,7 @@ pub fn parse_metrics_doc(text: &str) -> Result<MetricsDoc, String> {
         runs.push(RunMetric {
             label: r
                 .get("label")
-                .and_then(vic_profile::JsonValue::as_str)
+                .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("run {i}: missing 'label'"))?
                 .to_string(),
             sim_cycles: u64_field(r, "sim_cycles").map_err(|e| format!("run {i}: {e}"))?,
@@ -688,6 +807,65 @@ mod tests {
             vic_core::ENGINE_VERSION
         )));
         assert_eq!(m.matches('{').count(), m.matches('}').count());
+    }
+
+    /// The quick Table-4+5 grid plus one spec per non-default knob.
+    fn reader_specs() -> Vec<SystemSpec> {
+        use vic_core::policy::Configuration;
+        use vic_os::SystemKind;
+        use vic_workloads::WorkloadKind;
+
+        let mut specs = SystemSpec::table4_grid(true);
+        specs.extend(SystemSpec::table5_grid(true));
+        let base = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Cmu(Configuration::F));
+        let mut v = base;
+        v.write_through = true;
+        specs.push(v);
+        let mut v = base;
+        v.repeat = 3;
+        specs.push(v);
+        let mut v = base;
+        v.colored_free_lists = true;
+        specs.push(v);
+        let mut v = base;
+        v.fast_purge = true;
+        specs.push(v);
+        specs
+    }
+
+    #[test]
+    fn run_from_json_inverts_run_json_byte_for_byte() {
+        for spec in reader_specs() {
+            let stats = spec.run();
+            let text = run_json(&spec, &stats, None);
+            let (back_spec, back) =
+                run_from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
+            assert_eq!(back_spec, spec);
+            assert_eq!(back, stats, "{}", spec.label());
+            assert_eq!(run_json(&back_spec, &back, None), text);
+        }
+    }
+
+    #[test]
+    fn run_from_json_rejects_every_strict_prefix_and_foreign_versions() {
+        use vic_os::SystemKind;
+        use vic_workloads::WorkloadKind;
+
+        let spec = SystemSpec::quick(WorkloadKind::Afs, SystemKind::Tut);
+        let text = run_json(&spec, &spec.run(), None);
+        // A torn write leaves a prefix: each one is an error, not a panic.
+        for end in 0..text.len() {
+            assert!(run_from_json(&text[..end]).is_err(), "{end}-byte prefix");
+        }
+        let foreign = text.replacen(
+            &format!("\"engine_version\":{ENGINE_VERSION}"),
+            &format!("\"engine_version\":{}", ENGINE_VERSION + 1),
+            1,
+        );
+        let err = run_from_json(&foreign).unwrap_err();
+        assert!(err.contains("engine_version"), "{err}");
+        let err = run_from_json(&text.replacen("\"dma_read\"", "\"dma_rd\"", 1)).unwrap_err();
+        assert!(err.contains("unknown cause"), "{err}");
     }
 
     #[test]

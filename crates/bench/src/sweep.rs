@@ -25,6 +25,7 @@ use vic_metrics::{MetricsShard, ProgressReporter};
 use vic_profile::CostTree;
 use vic_workloads::RunStats;
 
+use crate::cache::ResultCache;
 use crate::spec::SystemSpec;
 
 /// The outcome of one spec within a sweep.
@@ -199,6 +200,8 @@ pub fn run_profiled_sweep_with_threads(specs: &[SystemSpec], threads: usize) -> 
 /// Unlike [`run_sweep_with_threads`] this engine is failure-tolerant — a
 /// panicking run is recorded in `failures` (and the `runs_failed`
 /// counter) instead of aborting the sweep, so the telemetry still exports.
+/// With a [`ResultCache`] the shard also counts `cache_hits`,
+/// `cache_misses` and `cache_store_errors`.
 #[derive(Debug)]
 pub struct ObservedSweep {
     /// Completed results, **in spec order** (failed specs omitted).
@@ -223,6 +226,29 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run `spec` with panics caught. With a cache, serve it from there when
+/// the cache holds it, and store what runs.
+fn run_cached(
+    spec: &SystemSpec,
+    cache: Option<&ResultCache>,
+    shard: &mut MetricsShard,
+) -> std::thread::Result<RunStats> {
+    let run = || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.run()));
+    let Some(cache) = cache else { return run() };
+    if let Some(stats) = cache.lookup(spec) {
+        shard.add("cache_hits", 1);
+        return Ok(stats);
+    }
+    shard.add("cache_misses", 1);
+    let outcome = run();
+    if let Ok(stats) = &outcome {
+        if cache.store(spec, stats).is_err() {
+            shard.add("cache_store_errors", 1);
+        }
+    }
+    outcome
+}
+
 /// [`run_sweep_with_threads`] with fleet telemetry and live progress.
 ///
 /// Each worker keeps a private [`MetricsShard`]; shards are merged after
@@ -232,6 +258,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// thread count and scheduling — only `host_ns_per_run` (host timing)
 /// varies. `progress.tick` fires after every completed run.
 ///
+/// With a `cache`, each worker looks its spec up before running it and
+/// stores what it runs. A hit is a completed run like any other, its host
+/// time being the lookup's.
+///
 /// # Panics
 ///
 /// Panics only if `threads` is zero; workload failures are caught.
@@ -239,6 +269,7 @@ pub fn run_observed_sweep_with_threads(
     specs: &[SystemSpec],
     threads: usize,
     progress: &ProgressReporter,
+    cache: Option<&ResultCache>,
 ) -> ObservedSweep {
     assert!(threads > 0, "a sweep needs at least one worker");
     let started = Instant::now();
@@ -256,8 +287,7 @@ pub fn run_observed_sweep_with_threads(
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
                     let t0 = Instant::now();
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.run()));
+                    let outcome = run_cached(spec, cache, &mut shard);
                     let wall = t0.elapsed();
                     let slot = match outcome {
                         Ok(stats) => {
@@ -355,8 +385,12 @@ mod tests {
             })
             .collect();
         let plain = run_sweep_with_threads(&specs, 2);
-        let obs =
-            run_observed_sweep_with_threads(&specs, 2, &vic_metrics::ProgressReporter::disabled());
+        let obs = run_observed_sweep_with_threads(
+            &specs,
+            2,
+            &vic_metrics::ProgressReporter::disabled(),
+            None,
+        );
         assert!(obs.failures.is_empty());
         assert_eq!(obs.results.len(), specs.len());
         for (a, b) in plain.results.iter().zip(&obs.results) {

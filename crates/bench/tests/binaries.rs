@@ -565,12 +565,16 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
     std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
     let garbage = tmp_file("bad-cp-garbage.json");
     std::fs::write(&garbage, "not a checkpoint\n").unwrap();
+    // 200 KB of openers used to overflow the JSON parser's stack.
+    let nested = tmp_file("bad-cp-nested.json");
+    std::fs::write(&nested, "[".repeat(200_000)).unwrap();
 
     for (path, what) in [
         (missing, "missing file"),
         (mismatched.to_str().unwrap(), "engine-version mismatch"),
         (truncated.to_str().unwrap(), "truncated document"),
         (garbage.to_str().unwrap(), "non-JSON garbage"),
+        (nested.to_str().unwrap(), "deeply nested JSON"),
     ] {
         let out = run_bin(run, &["--restore", path]);
         assert_eq!(out.status.code(), Some(2), "{what} must exit 2: {out:?}");
@@ -589,9 +593,170 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
     // A checkpoint cycle without a file (and vice versa) is a usage error.
     let out = run_bin(run, &["fork-bench", "F", "--quick", "--checkpoint-at", "5"]);
     assert_eq!(out.status.code(), Some(2));
-    for f in [&cp, &mismatched, &truncated, &garbage] {
+    for f in [&cp, &mismatched, &truncated, &garbage, &nested] {
         let _ = std::fs::remove_file(f);
     }
+}
+
+/// A sweep's stdout from the Table-4 heading up to the summary lines
+/// (`metrics:`, `cache:`, `swept`): everything that holds no host time.
+fn sweep_tables(stdout: &str) -> &str {
+    let start = stdout.find("Table 4").expect("tables printed");
+    let end = ["\nmetrics: ", "\ncache: ", "\nswept "]
+        .iter()
+        .filter_map(|tail| stdout.find(tail))
+        .min()
+        .expect("summary printed");
+    &stdout[start..end]
+}
+
+/// The `(hits, misses)` of a sweep's `cache:` line.
+fn cache_counts(stdout: &str) -> (u64, u64) {
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: "))
+        .unwrap_or_else(|| panic!("no cache line in:\n{stdout}"));
+    let mut words = line.split_whitespace();
+    let hits = words.next().and_then(|w| w.parse().ok());
+    let misses = words.nth(1).and_then(|w| w.parse().ok());
+    (hits.expect("hit count"), misses.expect("miss count"))
+}
+
+#[test]
+fn sweep_cache_hits_are_byte_identical_across_processes() {
+    use std::collections::BTreeMap;
+    use vic_bench::output::run_json;
+    use vic_bench::SystemSpec;
+
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    let dir = tmp_file("cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let [a, b, plain, metrics] = [
+        "cache-a.json",
+        "cache-b.json",
+        "cache-plain.json",
+        "cache-m.json",
+    ]
+    .map(tmp_file);
+    let [a_s, b_s, plain_s, metrics_s] = [&a, &b, &plain, &metrics].map(|p| p.to_str().unwrap());
+
+    let cold = run_bin(sweep, &["--quick", "--cache", d, "--json", a_s]);
+    assert!(cold.status.success(), "cold sweep: {cold:?}");
+    let warm = run_bin(
+        sweep,
+        &[
+            "--quick",
+            "--cache",
+            d,
+            "--json",
+            b_s,
+            "--metrics",
+            metrics_s,
+        ],
+    );
+    assert!(warm.status.success(), "warm sweep: {warm:?}");
+    let uncached = run_bin(sweep, &["--quick", "--json", plain_s]);
+    assert!(uncached.status.success(), "uncached sweep: {uncached:?}");
+    let [cold, warm, uncached] = [&cold, &warm, &uncached].map(stdout_of);
+
+    // A fresh directory holds nothing: every distinct spec misses. Only
+    // the grid's one repeated spec (afs-bench under CMU/F, in both
+    // tables) may hit, on the copy its first run stored.
+    let (hits, misses) = cache_counts(&cold);
+    assert!(hits <= 1 && hits + misses == 23, "cold: {hits} hits");
+    assert_eq!(cache_counts(&warm), (23, 0), "a new process hits it all");
+    assert_eq!(sweep_tables(&warm), sweep_tables(&cold));
+    assert_eq!(sweep_tables(&warm), sweep_tables(&uncached));
+    let [a_doc, b_doc] = [&a, &b].map(|p| std::fs::read_to_string(p).unwrap());
+    assert!(b_doc.starts_with(&ver_prefix()), "{b_doc}");
+    assert_eq!(strip_all_wall(&a_doc), strip_all_wall(&b_doc));
+    // Hits are completed runs in the telemetry, and are counted.
+    let m = std::fs::read_to_string(&metrics).unwrap();
+    for field in [
+        "\"runs_completed\":23",
+        "\"runs_failed\":0",
+        "\"cache_hits\":23",
+    ] {
+        assert!(m.contains(field), "missing {field} in {m}");
+    }
+
+    // Each file is named by the spec digest and holds exactly the
+    // in-process run document.
+    let mut specs = SystemSpec::table4_grid(true);
+    specs.extend(SystemSpec::table5_grid(true));
+    let expected: BTreeMap<String, SystemSpec> = specs
+        .iter()
+        .map(|s| (format!("vic-{:016x}.json", s.digest()), *s))
+        .collect();
+    let check_files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, expected.keys().cloned().collect::<Vec<_>>());
+        for (name, spec) in &expected {
+            let text = std::fs::read_to_string(dir.join(name)).unwrap();
+            assert_eq!(text, run_json(spec, &spec.run(), None), "{name}");
+        }
+    };
+    check_files();
+
+    // Bad entries (none of them afs-bench/F, which the grid runs twice)
+    // are each deleted, re-run and rewritten; the sweep still exits 0.
+    let file = |i: usize| dir.join(format!("vic-{:016x}.json", specs[i].digest()));
+    let good = std::fs::read_to_string(file(6)).unwrap();
+    std::fs::write(file(6), &good[..good.len() / 2]).unwrap();
+    let foreign = std::fs::read_to_string(file(9)).unwrap().replacen(
+        &format!("\"engine_version\":{}", vic_core::ENGINE_VERSION),
+        "\"engine_version\":99",
+        1,
+    );
+    std::fs::write(file(9), foreign).unwrap();
+    std::fs::copy(file(0), file(12)).unwrap();
+    std::fs::write(file(15), "[".repeat(200_000)).unwrap();
+    let out = run_bin(sweep, &["--quick", "--cache", d, "--json", b_s]);
+    assert!(out.status.success(), "sweep over bad entries: {out:?}");
+    let text = stdout_of(&out);
+    assert_eq!(cache_counts(&text), (19, 4), "{text}");
+    assert_eq!(sweep_tables(&text), sweep_tables(&cold));
+    check_files();
+
+    // The directory must be usable before anything runs.
+    for (args, why) in [
+        (
+            vec!["--quick", "--cache", "/proc/vic-no-such-cache"],
+            "cannot access '/proc/vic-no-such-cache'",
+        ),
+        (
+            vec!["--quick", "--cache"],
+            "flag '--cache' requires a value",
+        ),
+    ] {
+        let out = run_bin(sweep, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(stdout_of(&out).is_empty(), "{args:?}: nothing ran");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.starts_with("sweep: ") && err.contains(why),
+            "{args:?}:\n{err}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+    for f in [&a, &b, &plain, &metrics] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// [`strip_wall`] for every pair: a sweep document has one per run.
+fn strip_all_wall(doc: &str) -> String {
+    let mut doc = doc.to_string();
+    while doc.contains("\"wall_seconds\":") {
+        doc = strip_wall(&doc);
+    }
+    doc
 }
 
 #[test]

@@ -188,9 +188,24 @@ impl<'a> WordReader<'a> {
         }
     }
 
+    /// Read the length word of a sequence whose items are packed
+    /// `per_word` to a word, and check that the stream still holds that
+    /// many words. Decoders size allocations from the result, so a
+    /// corrupt length fails here with [`SerialError::Truncated`] instead
+    /// of asking the allocator for more than the stream could fill.
+    pub fn count(&mut self, per_word: usize) -> Result<usize, SerialError> {
+        let n = self.usize()?;
+        if n.div_ceil(per_word) > self.words.len() - self.pos {
+            return Err(SerialError::Truncated {
+                at: self.words.len(),
+            });
+        }
+        Ok(n)
+    }
+
     /// Read a byte vector written by [`WordWriter::bytes`].
     pub fn bytes(&mut self) -> Result<Vec<u8>, SerialError> {
-        let len = self.usize()?;
+        let len = self.count(8)?;
         let mut out = Vec::with_capacity(len);
         let mut remaining = len;
         while remaining > 0 {
@@ -291,6 +306,21 @@ mod tests {
         words.pop();
         let mut r = WordReader::new(&words);
         assert_eq!(r.bytes(), Err(SerialError::Truncated { at: 2 }));
+    }
+
+    #[test]
+    fn inflated_lengths_fail_before_allocating() {
+        // A byte-string length no stream could back used to reach
+        // `Vec::with_capacity` and abort the process.
+        let words = [u64::MAX >> 4, 1, 2];
+        let mut r = WordReader::new(&words);
+        assert_eq!(r.bytes(), Err(SerialError::Truncated { at: 3 }));
+        // `count` admits exactly what the remaining words can hold.
+        let truncated = Err(SerialError::Truncated { at: 4 });
+        assert_eq!(WordReader::new(&[24, 0, 0, 0]).count(8), Ok(24));
+        assert_eq!(WordReader::new(&[25, 0, 0, 0]).count(8), truncated);
+        assert_eq!(WordReader::new(&[3, 0, 0, 0]).count(1), Ok(3));
+        assert_eq!(WordReader::new(&[4, 0, 0, 0]).count(1), truncated);
     }
 
     #[test]

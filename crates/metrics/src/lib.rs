@@ -38,7 +38,7 @@ pub mod snapshot;
 mod json;
 
 pub use flight::{post_mortem_json, PostMortem};
-pub use progress::{auto_progress_suppressed, suppress_auto_progress, ProgressReporter};
+pub use progress::ProgressReporter;
 pub use sampler::{SeriesFormat, SnapshotSampler, TimeSeries};
 pub use shard::MetricsShard;
 pub use snapshot::{CacheSnapshot, MachineSnapshot, PageStateCounts, SystemSnapshot, TlbSnapshot};

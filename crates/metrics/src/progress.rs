@@ -8,37 +8,8 @@
 //! reference.
 
 use std::io::{IsTerminal, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Process-wide kill switch for auto-detected progress reporters.
-///
-/// `is_terminal()` answers "is a human watching stderr?", but a long-lived
-/// service launched from an interactive shell *passes* that test while its
-/// stderr doubles as a machine-read log (the serve smoke greps it for the
-/// listening line). The switch lets such a process declare "no reporter
-/// auto-enables here, ever" once at startup, without threading a flag
-/// through every sweep entry point.
-static AUTO_SUPPRESSED: AtomicBool = AtomicBool::new(false);
-
-/// Permanently disable auto-detected progress output for this process.
-///
-/// After this call every [`ProgressReporter::stderr`] reporter is created
-/// disabled regardless of whether stderr is a terminal. Explicitly
-/// [`forced`](ProgressReporter::forced) reporters are unaffected — forcing
-/// is an explicit request for output, suppression only turns off the
-/// *guess*. There is deliberately no un-suppress: a server that has started
-/// writing structured logs to stderr never wants ETA lines interleaved
-/// later.
-pub fn suppress_auto_progress() {
-    AUTO_SUPPRESSED.store(true, Ordering::Relaxed);
-}
-
-/// Whether [`suppress_auto_progress`] has been called in this process.
-pub fn auto_progress_suppressed() -> bool {
-    AUTO_SUPPRESSED.load(Ordering::Relaxed)
-}
 
 /// Shared progress state for one fleet of units of work.
 #[derive(Debug)]
@@ -53,11 +24,9 @@ pub struct ProgressReporter {
 
 impl ProgressReporter {
     /// A reporter for `total` units that prints to stderr only when
-    /// stderr is a terminal and [`suppress_auto_progress`] has not been
-    /// called.
+    /// stderr is a terminal.
     pub fn stderr(label: &str, total: u64) -> Self {
-        let enabled = std::io::stderr().is_terminal() && !auto_progress_suppressed();
-        Self::with_enabled(label, total, enabled)
+        Self::with_enabled(label, total, std::io::stderr().is_terminal())
     }
 
     /// A reporter that always prints (used by tests and `--progress`
@@ -170,25 +139,6 @@ mod tests {
         assert!(!p.is_enabled());
         p.tick(1); // must not panic or print
         p.finish();
-    }
-
-    #[test]
-    fn suppression_forces_auto_reporters_off_but_not_forced_ones() {
-        // Regression test for the experiment server: before the kill
-        // switch existed, a server started from an interactive shell had
-        // a terminal on stderr, so every sweep it ran sprayed ETA lines
-        // into the service log. Suppression must win over the terminal
-        // check...
-        suppress_auto_progress();
-        assert!(auto_progress_suppressed());
-        let p = ProgressReporter::stderr("serve", 10);
-        assert!(
-            !p.is_enabled(),
-            "auto-detected reporter must be off once suppressed"
-        );
-        // ...while an explicit `forced` reporter (an operator asking for
-        // progress on purpose) still prints.
-        assert!(ProgressReporter::forced("serve", 10).is_enabled());
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl FileSystem {
         self.files.clear();
         for _ in 0..n {
             let id = FileId(r.u32()?);
-            let nblocks = r.usize()?;
+            let nblocks = r.count(1)?;
             let mut blocks = Vec::with_capacity(nblocks);
             for _ in 0..nblocks {
                 blocks.push(BlockId(r.u32()?));
@@ -179,6 +179,24 @@ mod tests {
             fs.block_at(f, 0),
             Err(OsError::FileOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_an_inflated_block_count() {
+        let mut fs = FileSystem::new();
+        let mut disk = Disk::new(8, 256);
+        let f = fs.create();
+        fs.ensure_block(f, 2, &mut disk).unwrap();
+        let mut w = WordWriter::new();
+        fs.save_state(&mut w);
+        let mut words = w.into_words();
+        // File count, file id, then the block count.
+        assert_eq!(words[2], 3);
+        words[2] = u64::MAX >> 4;
+        assert_eq!(
+            FileSystem::new().restore_state(&mut WordReader::new(&words)),
+            Err(SerialError::Truncated { at: words.len() })
+        );
     }
 
     #[test]

@@ -6,8 +6,16 @@
 //! JSON grammar — small, strict, and with byte-offset error reporting.
 //! Numbers are held as `f64`, which is exact for every cycle count a run
 //! can produce (they are far below 2^53).
+//!
+//! The parser recurses once per `[` / `{`, so nesting is capped at 128
+//! levels: a hostile file of brackets gets a [`JsonError`] instead of
+//! overflowing the stack.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`parse_json`] accepts. Every document
+/// this workspace writes nests at most 6 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,14 +105,18 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, arrays and objects nested at most 128 deep).
 ///
 /// # Errors
 ///
 /// A [`JsonError`] locating the first offending byte.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -117,6 +129,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -157,8 +171,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => {
                 self.literal("true", "expected 'true'")?;
@@ -386,6 +411,20 @@ mod tests {
         assert!(parse_json("1 2").unwrap_err().msg.contains("trailing"));
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.contains(&MAX_DEPTH.to_string()), "{e}");
+        assert_eq!(e.offset, MAX_DEPTH);
+        // A 200 KB run of openers used to overflow the stack.
+        let e = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        let e = parse_json(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(e.msg.starts_with("nesting deeper"), "{e}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vic_core::types::{Mapping, PFrame, Prot, SpaceId, VPage};
 use vic_machine::{Machine, MachineConfig};
@@ -14,11 +14,23 @@ use vic_profile::Profiler;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread because the test
+    /// harness runs tests in parallel: a process-wide count would charge
+    /// one test with another's allocations. The code under test is
+    /// single-threaded, so its own thread sees every allocation it makes.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator may run while this thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,9 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.load(Ordering::SeqCst) - before, r)
+    (ALLOCS.with(Cell::get) - before, r)
 }
 
 fn steady_state_machine() -> (Machine, SpaceId, Vec<vic_core::types::VAddr>) {

@@ -128,15 +128,16 @@ impl Cursor {
         let j = r.u64()?;
         let rep = r.u64()?;
         let rng = Rng64::from_state(r.u64()?);
-        let nu = r.usize()?;
+        let nu = r.count(1)?;
         let mut u = Vec::with_capacity(nu);
         for _ in 0..nu {
             u.push(r.u64()?);
         }
-        let nl = r.usize()?;
+        // Every list takes at least its own length word.
+        let nl = r.count(1)?;
         let mut lists = Vec::with_capacity(nl);
         for _ in 0..nl {
-            let n = r.usize()?;
+            let n = r.count(1)?;
             let mut list = Vec::with_capacity(n);
             for _ in 0..n {
                 list.push(r.u64()?);
@@ -327,5 +328,27 @@ mod tests {
             Cursor::restore_state(&mut WordReader::new(&words)),
             Err(SerialError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn cursor_restore_rejects_inflated_lengths() {
+        let mut cur = Cursor::new();
+        cur.u = vec![1, 2, 3];
+        cur.lists = vec![vec![], vec![10, 20]];
+        let mut w = WordWriter::new();
+        cur.save_state(&mut w);
+        let words = w.into_words();
+        // Tag, five registers, then `u`'s length (6), the list count
+        // (10) and the second list's length (12).
+        assert_eq!(words[6..], [3, 1, 2, 3, 2, 0, 2, 10, 20]);
+        for at in [6, 10, 12] {
+            let mut bad = words.clone();
+            bad[at] = u64::MAX >> 4;
+            assert_eq!(
+                Cursor::restore_state(&mut WordReader::new(&bad)),
+                Err(SerialError::Truncated { at: words.len() }),
+                "inflated length at word {at}"
+            );
+        }
     }
 }

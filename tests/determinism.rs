@@ -219,7 +219,7 @@ fn simulated_metrics(m: &MetricsShard) -> MetricsShard {
 #[test]
 fn observed_sweep_metrics_are_thread_count_independent() {
     let specs = small_grid();
-    let base = run_observed_sweep_with_threads(&specs, 1, &ProgressReporter::disabled());
+    let base = run_observed_sweep_with_threads(&specs, 1, &ProgressReporter::disabled(), None);
     assert!(base.failures.is_empty());
     assert_eq!(
         base.metrics.counter("runs_completed"),
@@ -228,7 +228,8 @@ fn observed_sweep_metrics_are_thread_count_independent() {
     );
     let base_hist = base.metrics.histogram("sim_cycles_per_run").unwrap();
     for threads in [2, 4, 16] {
-        let obs = run_observed_sweep_with_threads(&specs, threads, &ProgressReporter::disabled());
+        let obs =
+            run_observed_sweep_with_threads(&specs, threads, &ProgressReporter::disabled(), None);
         assert!(obs.failures.is_empty());
         assert_eq!(
             simulated_metrics(&obs.metrics),
