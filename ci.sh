@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# The engine version every versioned document is stamped with, read from
+# its one definition so a bump edits a single line.
+engine_version="$(sed -n 's/^pub const ENGINE_VERSION: u64 = \([0-9]*\);$/\1/p' crates/core/src/lib.rs)"
+[ -n "$engine_version" ] || { echo "cannot read ENGINE_VERSION"; exit 1; }
+
 echo "=== cargo fmt --check ==="
 cargo fmt --all --check
 
@@ -17,8 +22,8 @@ cargo test --workspace --release --offline -q
 echo "=== cargo clippy -D warnings ==="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "=== bench smoke (BENCH_FAST) ==="
-BENCH_FAST=1 cargo bench -p vic-bench --offline -q >/dev/null
+echo "=== cargo doc -D warnings ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "=== sweep smoke (--quick) ==="
 sweep_json="$(mktemp)"
@@ -27,35 +32,15 @@ cargo run --release -p vic-bench --bin sweep --offline -q -- \
 test -s "$sweep_json" || { echo "sweep wrote no JSON"; exit 1; }
 rm -f "$sweep_json"
 
-echo "=== hostbench smoke (tiny grid) ==="
-# Host-throughput rig: measure the tiny grid once into a scratch file,
-# then schema-validate both it and the committed BENCH_host.json. No
-# wall-clock gating — CI machines vary; the numbers are informational.
-host_json="$(mktemp)"
-cargo run --release -p vic-bench --bin hostbench --offline -q -- \
-    --tiny --reps 1 --label ci-smoke --json "$host_json" >/dev/null
-cargo run --release -p vic-bench --bin hostbench --offline -q -- \
-    --check "$host_json" >/dev/null
-rm -f "$host_json"
-cargo run --release -p vic-bench --bin hostbench --offline -q -- \
-    --check BENCH_host.json >/dev/null
-
 echo "=== metrics smoke (sweep --metrics / --check-metrics) ==="
 # Fleet telemetry: a tiny sweep must export a metrics document whose
 # fleet roll-ups cross-validate against its per-run list, and the
-# standalone validator must accept it. The hostbench export shares the
-# schema, so the same validator reads it.
+# standalone validator must accept it.
 metrics_json="$(mktemp)"; scratch_json="$(mktemp)"
 cargo run --release -p vic-bench --bin sweep --offline -q -- \
     --quick --threads 2 --json "$scratch_json" --metrics "$metrics_json" >/dev/null
-grep -q '"engine_version":3' "$metrics_json" || { echo "metrics doc missing version"; exit 1; }
+grep -q "\"engine_version\":$engine_version," "$metrics_json" || { echo "metrics doc missing version"; exit 1; }
 grep -q '"runs_completed":23' "$metrics_json" || { echo "metrics doc missing fleet totals"; exit 1; }
-cargo run --release -p vic-bench --bin sweep --offline -q -- \
-    --check-metrics "$metrics_json" >/dev/null
-# (truncate the scratch file first: it holds sweep JSON, not a host doc)
-: > "$scratch_json"
-cargo run --release -p vic-bench --bin hostbench --offline -q -- \
-    --tiny --reps 1 --label ci-metrics --json "$scratch_json" --metrics "$metrics_json" >/dev/null
 cargo run --release -p vic-bench --bin sweep --offline -q -- \
     --check-metrics "$metrics_json" >/dev/null
 rm -f "$metrics_json" "$scratch_json"
@@ -70,9 +55,9 @@ if cargo run --release -p vic-bench --bin run --offline -q -- \
     echo "chaos run unexpectedly clean"; exit 1
 fi
 test -s "$flight_json" || { echo "flight recorder wrote no dump"; exit 1; }
-grep -q '"engine_version":3' "$flight_json" || { echo "flight dump missing version"; exit 1; }
+grep -q "\"engine_version\":$engine_version," "$flight_json" || { echo "flight dump missing version"; exit 1; }
 grep -q '"divergence_count":' "$flight_json" || { echo "flight dump missing divergences"; exit 1; }
-grep -q '"snapshot":{"engine_version":3' "$flight_json" || { echo "flight dump missing snapshot"; exit 1; }
+grep -q "\"snapshot\":{\"engine_version\":$engine_version," "$flight_json" || { echo "flight dump missing snapshot"; exit 1; }
 rm -f "$flight_json"
 
 echo "=== bulk-vs-word smoke (--no-fast-paths) ==="
@@ -102,37 +87,17 @@ cargo run --release -p vic-bench --bin run --offline -q -- \
     fork-bench F --quick --json "$full_json" >/dev/null
 cargo run --release -p vic-bench --bin run --offline -q -- \
     fork-bench F --quick --checkpoint-at 20000 --checkpoint "$cp_json" >/dev/null
-grep -q '"engine_version":3' "$cp_json" || { echo "checkpoint missing version"; exit 1; }
+grep -q "\"engine_version\":$engine_version," "$cp_json" || { echo "checkpoint missing version"; exit 1; }
 cargo run --release -p vic-bench --bin run --offline -q -- \
     --restore "$cp_json" --json "$resumed_json" >/dev/null
 strip_wall() { sed 's/"wall_seconds":[0-9.e+-]*//' "$1"; }
 [ "$(strip_wall "$full_json")" = "$(strip_wall "$resumed_json")" ] \
     || { echo "restored run diverged from the uninterrupted run"; exit 1; }
 rm -f "$cp_json" "$full_json" "$resumed_json"
-grep -q '^{"engine_version":3,"spec":' BENCH_checkpoint.json \
+grep -q "^{\"engine_version\":$engine_version,\"spec\":" BENCH_checkpoint.json \
     || { echo "checkpoint fixture schema drifted"; exit 1; }
 cargo run --release -p vic-bench --bin run --offline -q -- \
     --restore BENCH_checkpoint.json >/dev/null
-
-echo "=== sampling smoke (--calibrate / --check BENCH_sample.json) ==="
-# Interval-sampled measurement: a fresh calibration must reproduce the
-# full-run metrics within the 5% bound (the calibrate mode exits 1 if
-# any cell exceeds it), and the committed fixture must still validate —
-# the checker recomputes every per-metric relative error from the raw
-# estimate/actual pairs, so a stale or hand-edited document fails. The
-# committed speedups must hold the >= 5x claim; the fresh run's speedup
-# is not gated (CI machines vary). After an intentional engine change,
-# regenerate with: cargo run --release -p vic-bench --bin sample -- --calibrate
-sample_json="$(mktemp)"
-cargo run --release -p vic-bench --bin sample --offline -q -- \
-    --calibrate --json "$sample_json" >/dev/null
-rm -f "$sample_json"
-cargo run --release -p vic-bench --bin sample --offline -q -- \
-    --check BENCH_sample.json >/dev/null
-grep -q '^{"engine_version":3,"bound_pct":5,' BENCH_sample.json \
-    || { echo "sample fixture schema drifted"; exit 1; }
-awk 'BEGIN{RS=","} /"speedup":/ {split($0,a,":"); if (a[2]+0 < 5) exit 1}' BENCH_sample.json \
-    || { echo "committed sampling speedup fell below 5x"; exit 1; }
 
 echo "=== profile baseline check (BENCH_baseline.json) ==="
 # Re-runs the quick Table-4 + Table-5 grids under the cycle-cost
@@ -174,8 +139,9 @@ rm -rf "$cache_dir"; rm -f "$cold_out" "$warm_out" "$cold_json" "$warm_json" "$i
 echo "=== repository benchmark (unit tests + one quick round) ==="
 # The benchmark is a package of its own under examples/benchmark; its
 # tests and a one-round --smoke set keep it building and running.
-cargo test --offline -q --manifest-path examples/benchmark/Cargo.toml
-cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- \
+# --locked: a dependency edit must not rewrite the benchmark's Cargo.lock.
+cargo test --locked --offline -q --manifest-path examples/benchmark/Cargo.toml
+cargo run --locked --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- \
     --smoke >/dev/null
 
 echo "CI OK"

@@ -39,7 +39,7 @@ const FLIGHT_RING_CAPACITY: usize = 256;
 fn usage() -> String {
     format!(
         "usage: run <workload> <system> [--quick] [--colored] [--write-through] [--fast-purge]\n\
-         \x20                               [--repeat <n>] [--no-fast-paths] [--trace <file>]\n\
+         \x20                               [--no-fast-paths] [--trace <file>]\n\
          \x20                               [--trace-summary] [--json <file>] [--inspect <file>]\n\
          \x20                               [--sample-every <n>] [--flight <file>]\n\
          \x20                               [--stop-at <cycle>]\n\
@@ -51,7 +51,6 @@ fn usage() -> String {
          \n\
          --no-fast-paths  disable the host-side fast paths (bulk runs, occupancy index,\n\
          \x20                translation micro-cache); simulated results must not change\n\
-         --repeat <n>     run the workload n times back-to-back on one warm kernel\n\
          --stop-at <cycle> stop once the cycle counter reaches <cycle> and report the\n\
          \x20                partial-run statistics (no checkpoint file)\n\
          --trace <file>   write every machine/OS/algorithm event as JSON lines\n\
@@ -131,6 +130,13 @@ fn main() {
         ConsistencyAuditor::new()
     }));
     let ring = Arc::new(Mutex::new(RingBufferSink::new(FLIGHT_RING_CAPACITY)));
+    let json_lines = trace.as_ref().map(|path| {
+        let sink = JsonLinesSink::create(path).unwrap_or_else(|e| {
+            eprintln!("run: cannot create {path}: {e}");
+            std::process::exit(2);
+        });
+        Arc::new(Mutex::new(sink))
+    });
     let tracer = if tracing {
         let mut fan = FanoutSink::new().with(auditor.clone());
         if trace_summary {
@@ -139,12 +145,8 @@ fn main() {
         if flight.is_some() {
             fan = fan.with(ring.clone());
         }
-        if let Some(path) = &trace {
-            let json_sink = JsonLinesSink::create(path).unwrap_or_else(|e| {
-                eprintln!("run: cannot create {path}: {e}");
-                std::process::exit(2);
-            });
-            fan = fan.with(json_sink);
+        if let Some(sink) = &json_lines {
+            fan = fan.with(sink.clone());
         }
         Tracer::new(fan)
     } else {
@@ -200,12 +202,18 @@ fn main() {
     // checkpoint cycle. The stop check is a step boundary, so the paused
     // image contains exactly the work an uninterrupted run would have
     // done by that point.
-    let step = spec.build_step_workload();
+    let step = spec.workload.build_step(spec.quick);
     let pause_at = checkpoint.as_ref().map(|(at, _)| *at).or(stop_at);
     let t0 = std::time::Instant::now();
     let outcome = drive(&mut k, CpuId::BOOT, step.as_ref(), &mut cur, pause_at);
     let wall = t0.elapsed();
     k.machine_mut().tracer_mut().finish();
+    if let (Some(path), Some(sink)) = (&trace, &json_lines) {
+        if let Some(e) = sink.lock().expect("trace sink poisoned").io_error() {
+            eprintln!("run: cannot access '{path}': {e}");
+            std::process::exit(2);
+        }
+    }
     let snapshot = k.inspect();
     let series = k
         .machine_mut()

@@ -11,11 +11,12 @@
 //! spec and driving to completion yields statistics, JSON output and
 //! trace events byte-identical to the uninterrupted run.
 //!
-//! Schema (`--checkpoint <file>` of the `run` binary):
+//! Schema (`--checkpoint <file>` of the `run` binary); `V` stands for
+//! [`ENGINE_VERSION`]:
 //!
 //! ```json
 //! {
-//!   "engine_version": 2,
+//!   "engine_version": V,
 //!   "spec": {"workload": "...", "system": "F", "quick": true, ...},
 //!   "fast_paths": true,
 //!   "cycle": 123456,
@@ -163,17 +164,29 @@ pub fn words_to_rle_hex(words: &[u64]) -> String {
     out
 }
 
+/// The most words one decoded stream may hold: 2^24 (128 MiB). A
+/// paper-scale kernel image is about 4.35M words, because 16 MB of memory
+/// and the oracle's 16 MB shadow pack 8 bytes to a word. A kernel-build
+/// paused near its end holds about 4.8M. Full disk and swap would add
+/// about 2.1M more. So the cap is more than twice any image a spec
+/// writes, and a hostile count fails before it allocates.
+pub const MAX_STREAM_WORDS: usize = 1 << 24;
+
 /// Decode a [`words_to_rle_hex`] stream.
 ///
 /// # Errors
 ///
 /// A message naming the offending token: non-hex digits, a zero or
-/// malformed repeat count, or an empty token.
+/// malformed repeat count, an empty token, or a count that takes the
+/// stream past [`MAX_STREAM_WORDS`].
 pub fn rle_hex_to_words(s: &str) -> Result<Vec<u64>, String> {
-    let mut words = Vec::new();
     if s.is_empty() {
-        return Ok(words);
+        return Ok(Vec::new());
     }
+    // Check every token and the running total first, so a hostile count
+    // fails before anything is allocated for it.
+    let mut runs = Vec::new();
+    let mut total = 0usize;
     for tok in s.split(',') {
         let (hex, count) = match tok.split_once('*') {
             Some((hex, n)) => {
@@ -188,6 +201,16 @@ pub fn rle_hex_to_words(s: &str) -> Result<Vec<u64>, String> {
             None => (tok, 1),
         };
         let v = u64::from_str_radix(hex, 16).map_err(|_| format!("bad hex word '{tok}'"))?;
+        if count > MAX_STREAM_WORDS - total {
+            return Err(format!(
+                "token '{tok}' takes the stream past {MAX_STREAM_WORDS} words"
+            ));
+        }
+        total += count;
+        runs.push((v, count));
+    }
+    let mut words = Vec::with_capacity(total);
+    for (v, count) in runs {
         words.extend(std::iter::repeat_n(v, count));
     }
     Ok(words)
@@ -223,6 +246,17 @@ mod tests {
         for bad in ["g", "1,,2", "1*0", "1*x", "1*", "*3", ","] {
             assert!(rle_hex_to_words(bad).is_err(), "accepted '{bad}'");
         }
+    }
+
+    #[test]
+    fn rle_hex_rejects_counts_past_the_cap_before_allocating() {
+        let err = rle_hex_to_words("5,0*100000000000000,7").unwrap_err();
+        assert!(err.contains("'0*100000000000000'"), "{err}");
+        // The running total counts, not just one token.
+        let half = MAX_STREAM_WORDS / 2;
+        let err = rle_hex_to_words(&format!("1*{half},2*{half},3")).unwrap_err();
+        assert!(err.contains("'3'"), "{err}");
+        assert_eq!(rle_hex_to_words("0*1000").unwrap().len(), 1000);
     }
 
     fn sample() -> SystemCheckpoint {

@@ -10,7 +10,6 @@ use std::fmt;
 use vic_core::managers::DropClass;
 use vic_core::policy::Configuration;
 use vic_os::SystemKind;
-use vic_sample::SamplePlan;
 use vic_workloads::WorkloadKind;
 
 use crate::spec::SystemSpec;
@@ -202,7 +201,7 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 10_000;
 
 /// Parse the `run` binary's arguments:
 /// `<workload> <system> [--quick] [--colored] [--write-through]
-/// [--fast-purge] [--repeat <n>] [--no-fast-paths] [--trace <file>]
+/// [--fast-purge] [--no-fast-paths] [--trace <file>]
 /// [--trace-summary] [--json <file>] [--inspect <file>]
 /// [--sample-every <n>] [--flight <file>] [--stop-at <cycle>]
 /// [--checkpoint-at <cycle> --checkpoint <file>]`
@@ -227,7 +226,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
     let mut checkpoint_at: Option<String> = None;
     let mut checkpoint: Option<String> = None;
     let mut restore: Option<String> = None;
-    let mut repeat: Option<String> = None;
     let mut stop_at: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -246,7 +244,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
             "--checkpoint-at" => set_value(&mut checkpoint_at, "--checkpoint-at", it.next())?,
             "--checkpoint" => set_value(&mut checkpoint, "--checkpoint", it.next())?,
             "--restore" => set_value(&mut restore, "--restore", it.next())?,
-            "--repeat" => set_value(&mut repeat, "--repeat", it.next())?,
             "--stop-at" => set_value(&mut stop_at, "--stop-at", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => pos.push(s),
@@ -299,32 +296,11 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
             "--stop-at and --checkpoint-at are mutually exclusive".to_string(),
         ));
     }
-    let repeat = match repeat {
-        None => 1,
-        Some(n) => {
-            let v = n.parse::<u32>().map_err(|_| {
-                CliError::Conflicting(format!("--repeat wants a positive integer, got '{n}'"))
-            })?;
-            if v == 0 {
-                return Err(CliError::Conflicting(
-                    "--repeat must be at least 1".to_string(),
-                ));
-            }
-            v
-        }
-    };
     if let Some(extra) = pos.get(2) {
         return Err(CliError::UnexpectedArg(extra.to_string()));
     }
     let mode = if let Some(file) = restore {
-        if !pos.is_empty()
-            || quick
-            || colored
-            || write_through
-            || fast_purge
-            || no_fast_paths
-            || repeat != 1
-        {
+        if !pos.is_empty() || quick || colored || write_through || fast_purge || no_fast_paths {
             return Err(CliError::Conflicting(
                 "--restore takes its workload, system and knobs from the checkpoint file"
                     .to_string(),
@@ -341,7 +317,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
             colored_free_lists: colored,
             write_through,
             fast_purge,
-            repeat,
         })
     };
     Ok(RunCli {
@@ -545,7 +520,6 @@ fn parse_profile_report(args: &[String]) -> Result<ProfileCli, CliError> {
             colored_free_lists: colored,
             write_through,
             fast_purge,
-            repeat: 1,
         },
         format: if csv {
             ReportFormat::Csv
@@ -664,327 +638,6 @@ fn parse_threads(t: Option<String>) -> Result<Option<usize>, CliError> {
                 ));
             }
             Ok(Some(n))
-        }
-    }
-}
-
-/// The parsed command line of the `hostbench` binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostbenchCli {
-    /// Time a grid and append the entry to the results file.
-    Measure {
-        /// Entry label naming the engine state (e.g. `post-rework`).
-        label: String,
-        /// Results file (default `BENCH_host.json`), appended to.
-        json: String,
-        /// Repetitions per spec (best-of; default 5).
-        reps: u32,
-        /// Time the tiny CI-smoke grid instead of the full quick grids.
-        tiny: bool,
-        /// Print a live progress/ETA line to stderr even when stderr is
-        /// not a terminal.
-        progress: bool,
-        /// Also write fleet telemetry as a versioned metrics JSON
-        /// document to this file.
-        metrics: Option<String>,
-    },
-    /// Parse and schema-validate an existing results file.
-    Check {
-        /// The file to validate.
-        json: String,
-    },
-}
-
-/// Parse the `hostbench` binary's arguments:
-/// `[--label <s>] [--json <file>] [--reps <n>] [--tiny] [--progress]
-/// [--metrics <file>]` or `--check <file>`.
-///
-/// # Errors
-///
-/// A [`CliError`] naming the offending argument.
-pub fn parse_hostbench(args: &[String]) -> Result<HostbenchCli, CliError> {
-    let mut label: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut reps: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut tiny = false;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tiny" => tiny = true,
-            "--progress" => progress = true,
-            "--label" => set_value(&mut label, "--label", it.next())?,
-            "--json" => set_value(&mut json, "--json", it.next())?,
-            "--reps" => set_value(&mut reps, "--reps", it.next())?,
-            "--check" => set_value(&mut check, "--check", it.next())?,
-            "--metrics" => set_value(&mut metrics, "--metrics", it.next())?,
-            s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
-            s => return Err(CliError::UnexpectedArg(s.to_string())),
-        }
-    }
-    if let Some(file) = check {
-        if label.is_some()
-            || json.is_some()
-            || reps.is_some()
-            || tiny
-            || progress
-            || metrics.is_some()
-        {
-            return Err(CliError::Conflicting(
-                "--check takes no measurement flags".to_string(),
-            ));
-        }
-        return Ok(HostbenchCli::Check { json: file });
-    }
-    let reps = match reps {
-        None => 5,
-        Some(r) => {
-            let n = r.parse::<u32>().map_err(|_| {
-                CliError::Conflicting(format!("--reps wants a positive integer, got '{r}'"))
-            })?;
-            if n == 0 {
-                return Err(CliError::Conflicting(
-                    "--reps must be at least 1".to_string(),
-                ));
-            }
-            n
-        }
-    };
-    Ok(HostbenchCli::Measure {
-        label: label.unwrap_or_else(|| "unlabeled".to_string()),
-        json: json.unwrap_or_else(|| crate::hostbench::DEFAULT_HOST_FILE.to_string()),
-        reps,
-        tiny,
-        progress,
-        metrics,
-    })
-}
-
-/// The committed sampling-calibration file.
-pub const DEFAULT_SAMPLE_FILE: &str = "BENCH_sample.json";
-
-/// The default `--repeat` of a sampling run: long enough that the paced
-/// prefix is a small fraction, short enough for interactive use.
-pub const DEFAULT_SAMPLE_REPEAT: u32 = 8;
-
-/// The parsed command line of the `sample` binary — one of four modes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SampleCli {
-    /// Sample one run and report the extrapolated full-run estimate.
-    Measure {
-        /// The fully described run (its `repeat` equals the plan's).
-        spec: SystemSpec,
-        /// The sampling plan.
-        plan: SamplePlan,
-        /// Write the estimate document to this file.
-        json: Option<String>,
-        /// Write one occupancy-snapshot row per measured interval to this
-        /// file (renderer chosen by extension, like `run --inspect`).
-        inspect: Option<String>,
-    },
-    /// Run the calibration grid: sample AND full-run each cell, record
-    /// per-metric errors and the host speedup.
-    Calibrate {
-        /// Output file (default [`DEFAULT_SAMPLE_FILE`]).
-        json: String,
-        /// The relative-error bound, percent, every cell must satisfy.
-        bound_pct: f64,
-    },
-    /// Parse an existing calibration document, recompute its errors and
-    /// re-assert its claims.
-    Check {
-        /// The file to validate.
-        file: String,
-    },
-    /// Fork the paused steady rep and compare the configured system
-    /// against an alternative over the identical op stream.
-    WhatIf {
-        /// The fully described base run.
-        spec: SystemSpec,
-        /// The sampling plan (only the pacer part is used).
-        plan: SamplePlan,
-        /// The alternative consistency system.
-        alt: SystemKind,
-    },
-}
-
-/// Parse the `sample` binary's arguments. Four modes:
-///
-/// * `<workload> <system> [--quick] [--colored] [--write-through]
-///   [--fast-purge] [--repeat <n>] [--paced <n>] [--intervals <n>]
-///   [--warmup <n>] [--period <n>] [--json <file>] [--inspect <file>]`
-/// * the same spec and plan flags with `--whatif <system>`
-/// * `--calibrate [--json <file>] [--bound <pct>]`
-/// * `--check <file>`
-///
-/// # Errors
-///
-/// A [`CliError`] naming the offending argument; plan inconsistencies
-/// (e.g. `--paced 1`) surface as [`CliError::Conflicting`].
-pub fn parse_sample(args: &[String]) -> Result<SampleCli, CliError> {
-    let mut pos: Vec<&str> = Vec::new();
-    let mut quick = false;
-    let mut colored = false;
-    let mut write_through = false;
-    let mut fast_purge = false;
-    let mut calibrate = false;
-    let mut repeat: Option<String> = None;
-    let mut paced: Option<String> = None;
-    let mut intervals: Option<String> = None;
-    let mut warmup: Option<String> = None;
-    let mut period: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut inspect: Option<String> = None;
-    let mut bound: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut whatif: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--colored" => colored = true,
-            "--write-through" => write_through = true,
-            "--fast-purge" => fast_purge = true,
-            "--calibrate" => calibrate = true,
-            "--repeat" => set_value(&mut repeat, "--repeat", it.next())?,
-            "--paced" => set_value(&mut paced, "--paced", it.next())?,
-            "--intervals" => set_value(&mut intervals, "--intervals", it.next())?,
-            "--warmup" => set_value(&mut warmup, "--warmup", it.next())?,
-            "--period" => set_value(&mut period, "--period", it.next())?,
-            "--json" => set_value(&mut json, "--json", it.next())?,
-            "--inspect" => set_value(&mut inspect, "--inspect", it.next())?,
-            "--bound" => set_value(&mut bound, "--bound", it.next())?,
-            "--check" => set_value(&mut check, "--check", it.next())?,
-            "--whatif" => set_value(&mut whatif, "--whatif", it.next())?,
-            s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
-            s => pos.push(s),
-        }
-    }
-    let plan_flags = repeat.is_some()
-        || paced.is_some()
-        || intervals.is_some()
-        || warmup.is_some()
-        || period.is_some();
-    if let Some(file) = check {
-        if calibrate
-            || plan_flags
-            || !pos.is_empty()
-            || quick
-            || colored
-            || write_through
-            || fast_purge
-            || json.is_some()
-            || inspect.is_some()
-            || bound.is_some()
-            || whatif.is_some()
-        {
-            return Err(CliError::Conflicting(
-                "--check validates an existing file; it takes no other arguments".to_string(),
-            ));
-        }
-        return Ok(SampleCli::Check { file });
-    }
-    if calibrate {
-        if plan_flags
-            || !pos.is_empty()
-            || quick
-            || colored
-            || write_through
-            || fast_purge
-            || inspect.is_some()
-            || whatif.is_some()
-        {
-            return Err(CliError::Conflicting(
-                "--calibrate runs a fixed grid; it takes only --json and --bound".to_string(),
-            ));
-        }
-        return Ok(SampleCli::Calibrate {
-            json: json.unwrap_or_else(|| DEFAULT_SAMPLE_FILE.to_string()),
-            bound_pct: parse_bound(bound)?,
-        });
-    }
-    if bound.is_some() {
-        return Err(CliError::Conflicting(
-            "--bound only applies to --calibrate".to_string(),
-        ));
-    }
-    if let Some(extra) = pos.get(2) {
-        return Err(CliError::UnexpectedArg(extra.to_string()));
-    }
-    let workload = parse_workload(pos.first().ok_or(CliError::MissingArg("workload"))?)?;
-    let system = parse_system(pos.get(1).ok_or(CliError::MissingArg("system"))?)?;
-    let mut plan =
-        SamplePlan::new(parse_knob("--repeat", repeat)?.unwrap_or(DEFAULT_SAMPLE_REPEAT));
-    if let Some(v) = parse_knob("--paced", paced)? {
-        plan.paced_reps = v;
-    }
-    if let Some(v) = parse_knob("--intervals", intervals)? {
-        plan.intervals = v;
-    }
-    if let Some(v) = parse_knob("--warmup", warmup)? {
-        plan.warmup = v;
-    }
-    if let Some(v) = parse_knob("--period", period)? {
-        plan.period = v;
-    }
-    plan.validate().map_err(CliError::Conflicting)?;
-    let spec = SystemSpec {
-        workload,
-        system,
-        quick,
-        colored_free_lists: colored,
-        write_through,
-        fast_purge,
-        repeat: plan.repeat,
-    };
-    if let Some(alt) = whatif {
-        if json.is_some() || inspect.is_some() {
-            return Err(CliError::Conflicting(
-                "--whatif prints a cost diff; --json and --inspect apply to measurement runs"
-                    .to_string(),
-            ));
-        }
-        return Ok(SampleCli::WhatIf {
-            spec,
-            plan,
-            alt: parse_system(&alt)?,
-        });
-    }
-    Ok(SampleCli::Measure {
-        spec,
-        plan,
-        json,
-        inspect,
-    })
-}
-
-/// Parse a non-negative-integer plan knob (`--warmup 0` is meaningful;
-/// `SamplePlan::validate` decides which knobs must be positive).
-fn parse_knob(flag: &'static str, v: Option<String>) -> Result<Option<u32>, CliError> {
-    match v {
-        None => Ok(None),
-        Some(n) => n.parse::<u32>().map(Some).map_err(|_| {
-            CliError::Conflicting(format!("{flag} wants a non-negative integer, got '{n}'"))
-        }),
-    }
-}
-
-fn parse_bound(b: Option<String>) -> Result<f64, CliError> {
-    match b {
-        None => Ok(DEFAULT_TOLERANCE_PCT),
-        Some(b) => {
-            let v = b.parse::<f64>().map_err(|_| {
-                CliError::Conflicting(format!("--bound wants a percentage, got '{b}'"))
-            })?;
-            if v.is_finite() && v > 0.0 {
-                Ok(v)
-            } else {
-                Err(CliError::Conflicting(format!(
-                    "--bound must be a finite positive percentage, got '{b}'"
-                )))
-            }
         }
     }
 }
@@ -1288,30 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn hostbench_grammar_with_telemetry() {
-        let cli = parse_hostbench(&s(&["--tiny", "--progress", "--metrics", "m.json"])).unwrap();
-        let HostbenchCli::Measure {
-            tiny,
-            progress,
-            metrics,
-            ..
-        } = cli
-        else {
-            panic!("expected Measure, got {cli:?}");
-        };
-        assert!(tiny && progress);
-        assert_eq!(metrics.as_deref(), Some("m.json"));
-        assert!(matches!(
-            parse_hostbench(&s(&["--check", "h.json", "--progress"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_hostbench(&s(&["--check", "h.json", "--metrics", "m"])),
-            Err(CliError::Conflicting(_))
-        ));
-    }
-
-    #[test]
     fn io_helpers_produce_typed_errors() {
         let err = write_file("/nonexistent-dir-for-vic/x.json", "{}").unwrap_err();
         let CliError::Io { path, .. } = &err else {
@@ -1428,148 +1057,6 @@ mod tests {
         ));
         assert!(matches!(
             parse_profile(&s(&["--check-baseline", "--threads", "0"])),
-            Err(CliError::Conflicting(_))
-        ));
-    }
-
-    #[test]
-    fn sample_measure_grammar() {
-        let cli = parse_sample(&s(&[
-            "fork-bench",
-            "F",
-            "--quick",
-            "--repeat",
-            "16",
-            "--intervals",
-            "4",
-            "--warmup",
-            "0",
-            "--json",
-            "est.json",
-            "--inspect",
-            "occ.csv",
-        ]))
-        .unwrap();
-        let SampleCli::Measure {
-            spec,
-            plan,
-            json,
-            inspect,
-        } = cli
-        else {
-            panic!("expected Measure, got {cli:?}");
-        };
-        assert_eq!(spec.workload, WorkloadKind::Fork);
-        assert!(spec.quick);
-        assert_eq!(spec.repeat, 16, "spec repeat follows the plan");
-        assert_eq!(plan.repeat, 16);
-        assert_eq!(plan.intervals, 4);
-        assert_eq!(plan.warmup, 0);
-        assert_eq!(plan.paced_reps, 2, "unset knobs keep plan defaults");
-        assert_eq!(json.as_deref(), Some("est.json"));
-        assert_eq!(inspect.as_deref(), Some("occ.csv"));
-        // Defaults.
-        let cli = parse_sample(&s(&["fork-bench", "F"])).unwrap();
-        let SampleCli::Measure { plan, .. } = cli else {
-            panic!("expected Measure");
-        };
-        assert_eq!(plan.repeat, DEFAULT_SAMPLE_REPEAT);
-    }
-
-    #[test]
-    fn sample_plan_inconsistencies_are_typed_conflicts() {
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--paced", "1"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--repeat", "2", "--paced", "4"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--period", "0"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--repeat", "many"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert_eq!(
-            parse_sample(&s(&["fork-bench"])),
-            Err(CliError::MissingArg("system"))
-        );
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--frobnicate"])),
-            Err(CliError::UnknownFlag(_))
-        ));
-    }
-
-    #[test]
-    fn sample_calibrate_and_check_grammar() {
-        let cli = parse_sample(&s(&["--calibrate"])).unwrap();
-        assert_eq!(
-            cli,
-            SampleCli::Calibrate {
-                json: DEFAULT_SAMPLE_FILE.to_string(),
-                bound_pct: DEFAULT_TOLERANCE_PCT,
-            }
-        );
-        let cli = parse_sample(&s(&["--calibrate", "--json", "c.json", "--bound", "2.5"])).unwrap();
-        assert_eq!(
-            cli,
-            SampleCli::Calibrate {
-                json: "c.json".to_string(),
-                bound_pct: 2.5,
-            }
-        );
-        // The grid is fixed: spec and plan flags conflict with --calibrate.
-        for extra in [
-            vec!["--calibrate", "fork-bench", "F"],
-            vec!["--calibrate", "--repeat", "4"],
-            vec!["--calibrate", "--quick"],
-            vec!["--calibrate", "--inspect", "o.csv"],
-        ] {
-            assert!(
-                matches!(parse_sample(&s(&extra)), Err(CliError::Conflicting(_))),
-                "{extra:?}"
-            );
-        }
-        assert!(matches!(
-            parse_sample(&s(&["--calibrate", "--bound", "-1"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--bound", "5"])),
-            Err(CliError::Conflicting(_))
-        ));
-        let cli = parse_sample(&s(&["--check", "c.json"])).unwrap();
-        assert_eq!(
-            cli,
-            SampleCli::Check {
-                file: "c.json".to_string()
-            }
-        );
-        assert!(matches!(
-            parse_sample(&s(&["--check", "c.json", "--quick"])),
-            Err(CliError::Conflicting(_))
-        ));
-    }
-
-    #[test]
-    fn sample_whatif_grammar() {
-        let cli = parse_sample(&s(&["fork-bench", "F", "--whatif", "A", "--repeat", "4"])).unwrap();
-        let SampleCli::WhatIf { spec, plan, alt } = cli else {
-            panic!("expected WhatIf, got {cli:?}");
-        };
-        assert_eq!(spec.system, SystemKind::Cmu(Configuration::F));
-        assert_eq!(alt, SystemKind::Cmu(Configuration::A));
-        assert_eq!(plan.repeat, 4);
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--whatif", "hp748"])),
-            Err(CliError::UnknownSystem(_))
-        ));
-        assert!(matches!(
-            parse_sample(&s(&["fork-bench", "F", "--whatif", "A", "--json", "x"])),
             Err(CliError::Conflicting(_))
         ));
     }

@@ -33,7 +33,7 @@ const SPEC_TAG: u64 = u64::from_le_bytes(*b"VICSPEC1");
 
 impl SystemSpec {
     /// The canonical word encoding of this spec: tag, workload name,
-    /// system name, the four boolean knobs, `repeat`. Field order is part
+    /// system name, the four boolean knobs. Field order is part
     /// of the format; changing it (or any name) re-keys every cache and
     /// must come with an [`ENGINE_VERSION`] bump.
     pub fn canonical_words(&self) -> Vec<u64> {
@@ -45,7 +45,6 @@ impl SystemSpec {
         w.bool(self.colored_free_lists);
         w.bool(self.write_through);
         w.bool(self.fast_purge);
-        w.u32(self.repeat);
         w.into_words()
     }
 
@@ -78,10 +77,6 @@ pub fn spec_from_json(v: &JsonValue) -> Result<SystemSpec, String> {
             .and_then(JsonValue::as_bool)
             .ok_or_else(|| format!("spec: missing or non-boolean '{key}'"))
     };
-    let repeat = v
-        .get("repeat")
-        .and_then(JsonValue::as_u64)
-        .ok_or("spec: missing or non-integer 'repeat'")?;
     Ok(SystemSpec {
         workload: parse_workload(str_field("workload")?).map_err(|e| format!("spec: {e}"))?,
         system: parse_system(str_field("system")?).map_err(|e| format!("spec: {e}"))?,
@@ -89,7 +84,6 @@ pub fn spec_from_json(v: &JsonValue) -> Result<SystemSpec, String> {
         colored_free_lists: bool_field("colored_free_lists")?,
         write_through: bool_field("write_through")?,
         fast_purge: bool_field("fast_purge")?,
-        repeat: u32::try_from(repeat).map_err(|_| "spec: 'repeat' out of range".to_string())?,
     })
 }
 
@@ -102,7 +96,7 @@ mod tests {
     use vic_workloads::WorkloadKind;
 
     /// Committed test vectors: these digests are the on-disk cache keys of
-    /// real specs at ENGINE_VERSION 3. If this test fails, the canonical
+    /// real specs at ENGINE_VERSION 4. If this test fails, the canonical
     /// encoding (or the engine version) changed and every existing result
     /// store is — correctly — invalidated; update the vectors only as part
     /// of an intentional format change.
@@ -110,16 +104,15 @@ mod tests {
     fn committed_digest_vectors() {
         let afs_f = SystemSpec::new(WorkloadKind::Afs, SystemKind::Cmu(Configuration::F));
         let afs_f_quick = SystemSpec::quick(WorkloadKind::Afs, SystemKind::Cmu(Configuration::F));
-        let mut fork_utah_x8 = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Utah);
-        fork_utah_x8.repeat = 8;
+        let fork_utah_quick = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Utah);
         let mut kb_a_wt =
             SystemSpec::new(WorkloadKind::KernelBuild, SystemKind::Cmu(Configuration::A));
         kb_a_wt.write_through = true;
         for (spec, expect) in [
-            (afs_f, 0x1c2e_ec4a_4e73_b605u64),
-            (afs_f_quick, 0x958b_bd73_6b66_a426u64),
-            (fork_utah_x8, 0x8a34_bf14_995d_d4d4u64),
-            (kb_a_wt, 0xe29c_6068_f36a_2e07u64),
+            (afs_f, 0x433c_3408_c4ca_b0eeu64),
+            (afs_f_quick, 0xb33d_52aa_ccc6_c5f0u64),
+            (fork_utah_quick, 0xa51b_cf3f_5bb6_cc17u64),
+            (kb_a_wt, 0x5195_46fd_d3fa_c197u64),
         ] {
             assert_eq!(
                 spec.digest(),
@@ -156,9 +149,6 @@ mod tests {
             v.write_through = true;
             specs.push(v);
             let mut v = base;
-            v.repeat = 16;
-            specs.push(v);
-            let mut v = base;
             v.colored_free_lists = true;
             specs.push(v);
             let mut v = base;
@@ -190,9 +180,6 @@ mod tests {
         v.fast_purge = true;
         assert_ne!(v.digest(), d);
         let mut v = base;
-        v.repeat = 2;
-        assert_ne!(v.digest(), d);
-        let mut v = base;
         v.system = SystemKind::Cmu(Configuration::E);
         assert_ne!(v.digest(), d);
         let mut v = base;
@@ -204,7 +191,6 @@ mod tests {
     fn spec_json_round_trips_through_spec_from_json() {
         let mut spec = SystemSpec::quick(WorkloadKind::KernelBuild, SystemKind::Tut);
         spec.write_through = true;
-        spec.repeat = 4;
         let doc = vic_profile::parse_json(&spec_json(&spec)).unwrap();
         assert_eq!(spec_from_json(&doc).unwrap(), spec);
         // Missing and malformed fields are named.

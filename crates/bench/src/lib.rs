@@ -13,7 +13,6 @@
 //! | Tables 4+5 in parallel, JSON results | `sweep` | [`sweep::run_sweep`] |
 //! | on-disk result cache (`sweep --cache`) | `sweep` | [`cache::ResultCache`] |
 //! | cycle-cost attribution, diffs, perf baseline | `profile` | [`profile`] |
-//! | host wall-clock throughput, `BENCH_host.json` | `hostbench` | [`hostbench`] |
 //!
 //! A run is described by a [`SystemSpec`] — workload, system and every
 //! knob as one `Copy` value — and a simulated system is a single owned
@@ -23,10 +22,9 @@
 //! module gives every binary the same argument grammar and the [`output`]
 //! module one JSON schema for single runs and sweeps.
 //!
-//! The bench targets (`benches/`, plain `main()`s over the internal
-//! [`harness`]) measure the simulator and algorithm primitives themselves
-//! (flush/purge costs, `CacheControl` overhead, the alias loop, and
-//! end-to-end workload throughput).
+//! Host time is measured from outside the program by the repository
+//! benchmark (`examples/benchmark`): end to end, per layer, and per
+//! primitive.
 //!
 //! Absolute simulated seconds are not expected to match the paper's HP 720
 //! wall-clock numbers (the substrate is a simulator); the *shape* — who
@@ -38,8 +36,6 @@ pub mod checkpoint;
 pub mod cli;
 pub mod digest;
 pub mod experiments;
-pub mod harness;
-pub mod hostbench;
 pub mod output;
 pub mod profile;
 pub mod spec;
@@ -51,7 +47,6 @@ pub use experiments::{
     microbench, table1, table2_report, table4, table5, MicrobenchResult, Table1Row, Table4Cell,
     Table5Row,
 };
-pub use hostbench::{HostEntry, HostGrid, HostRun};
 pub use output::{metrics_json, parse_metrics_doc, MetricsDoc, RunMetric};
 pub use spec::SystemSpec;
 pub use sweep::{

@@ -8,11 +8,11 @@
 //! quantities derived from cycle counts (seconds) or host timing (wall).
 //!
 //! Schema of one run object (also the `--json` output of the `run`
-//! binary):
+//! binary); `V` stands for [`vic_core::ENGINE_VERSION`]:
 //!
 //! ```json
 //! {
-//!   "engine_version": 2,
+//!   "engine_version": V,
 //!   "spec": {"workload": "...", "system": "F", "quick": false, ...},
 //!   "elapsed_cycles": 123,
 //!   "elapsed_seconds": 0.5,
@@ -25,7 +25,7 @@
 //! ```
 //!
 //! A sweep file wraps the runs:
-//! `{"engine_version": 2, "threads": n, "wall_seconds": t, "runs": [...]}`.
+//! `{"engine_version": V, "threads": n, "wall_seconds": t, "runs": [...]}`.
 //!
 //! Every versioned document this module emits carries the single
 //! [`vic_core::ENGINE_VERSION`] stamp.
@@ -165,7 +165,6 @@ pub fn spec_json(spec: &SystemSpec) -> String {
         .bool("colored_free_lists", spec.colored_free_lists)
         .bool("write_through", spec.write_through)
         .bool("fast_purge", spec.fast_purge)
-        .u64("repeat", u64::from(spec.repeat))
         .finish()
 }
 
@@ -432,7 +431,7 @@ where
 /// simulated cycle count, and (nondeterministic) host nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMetric {
-    /// Human-readable run label (spec label or hostbench entry label).
+    /// Human-readable run label (the spec's label).
     pub label: String,
     /// Simulated cycles the run retired.
     pub sim_cycles: u64,
@@ -588,96 +587,6 @@ pub fn parse_metrics_doc(text: &str) -> Result<MetricsDoc, String> {
     })
 }
 
-/// A sampling plan as a JSON object (parseable back by
-/// `vic_sample::SampleDoc`).
-pub fn sample_plan_json(plan: &vic_sample::SamplePlan) -> String {
-    JsonObj::new()
-        .u64("repeat", u64::from(plan.repeat))
-        .u64("paced_reps", u64::from(plan.paced_reps))
-        .u64("intervals", u64::from(plan.intervals))
-        .u64("warmup", u64::from(plan.warmup))
-        .u64("period", u64::from(plan.period))
-        .finish()
-}
-
-/// One calibration cell: the sampled estimate of every metric next to the
-/// full run's actual, with recomputable relative errors. `actual` is the
-/// full run flattened by [`vic_sample::metrics_of`]; `speedup` is the
-/// measured host wall-clock ratio (full / sampled).
-pub fn sample_cell_json(
-    spec: &SystemSpec,
-    report: &vic_sample::SampleReport,
-    actual: &[u64],
-    speedup: f64,
-) -> String {
-    assert_eq!(actual.len(), vic_sample::METRICS.len());
-    let metrics = json_array(vic_sample::METRICS.iter().enumerate().map(|(i, name)| {
-        let est = report.estimate.metrics[i];
-        JsonObj::new()
-            .str("name", name)
-            .u64("estimate", est)
-            .u64("actual", actual[i])
-            .f64("rel_err_pct", vic_sample::rel_err_pct(est, actual[i]))
-            .finish()
-    }));
-    let max_err = vic_sample::BOUNDED_METRICS
-        .iter()
-        .filter_map(|n| vic_sample::metric_index(n))
-        .map(|i| vic_sample::rel_err_pct(report.estimate.metrics[i], actual[i]))
-        .fold(0.0, f64::max);
-    JsonObj::new()
-        .str("workload", &report.workload)
-        .str("system", &report.system)
-        .bool("quick", spec.quick)
-        .raw("plan", &sample_plan_json(&report.plan))
-        .u64("intervals_measured", report.intervals.len() as u64)
-        .u64("intervals_total", report.num_intervals as u64)
-        .bool("exact", report.estimate.exact)
-        .f64("speedup", speedup)
-        .f64("max_rel_err_pct", max_err)
-        .raw("metrics", &metrics)
-        .finish()
-}
-
-/// A whole calibration document (the `BENCH_sample.json` format):
-/// versioned, the error bound, and one cell per grid point. Read back and
-/// re-checked by `vic_sample::SampleDoc`.
-pub fn sample_doc_json(bound_pct: f64, cells: &[String]) -> String {
-    JsonObj::new()
-        .u64("engine_version", vic_core::ENGINE_VERSION)
-        .f64("bound_pct", bound_pct)
-        .raw("cells", &json_array(cells.iter().cloned()))
-        .finish()
-}
-
-/// A measurement-only sampling run as a JSON object (`sample --json`
-/// without calibration): the spec, the plan, window accounting and the
-/// extrapolated estimate of every metric. No `actual` fields — nothing
-/// ran the full workload.
-pub fn sample_measure_json(spec: &SystemSpec, report: &vic_sample::SampleReport) -> String {
-    let estimate = json_array(vic_sample::METRICS.iter().enumerate().map(|(i, name)| {
-        JsonObj::new()
-            .str("name", name)
-            .u64("estimate", report.estimate.metrics[i])
-            .finish()
-    }));
-    JsonObj::new()
-        .u64("engine_version", vic_core::ENGINE_VERSION)
-        .raw("spec", &spec_json(spec))
-        .str("workload", &report.workload)
-        .str("system", &report.system)
-        .raw("plan", &sample_plan_json(&report.plan))
-        .u64("intervals_measured", report.intervals.len() as u64)
-        .u64("intervals_total", report.num_intervals as u64)
-        .bool("exact", report.estimate.exact)
-        .u64("steady_start", report.steady_start)
-        .u64("steady_end", report.steady_end)
-        .u64("interval_len", report.interval_len)
-        .f64("coverage", report.estimate.coverage())
-        .raw("estimate", &estimate)
-        .finish()
-}
-
 /// A whole sweep as a JSON object (the `BENCH_sweep.json` format).
 pub fn sweep_json(sweep: &Sweep) -> String {
     JsonObj::new()
@@ -769,46 +678,6 @@ mod tests {
         assert!(parse_metrics_doc("not json").is_err());
     }
 
-    #[test]
-    fn sample_doc_round_trips_through_the_reader() {
-        use vic_core::policy::Configuration;
-        use vic_os::SystemKind;
-        use vic_sample::{metrics_of, SampleDoc, SamplePlan, Sampler};
-        use vic_workloads::WorkloadKind;
-
-        let plan = SamplePlan::exhaustive(2, 3);
-        let mut spec = SystemSpec::quick(
-            WorkloadKind::AliasAligned,
-            SystemKind::Cmu(Configuration::F),
-        );
-        spec.repeat = plan.repeat;
-        let sampler = Sampler::new(
-            spec.kernel_config(),
-            spec.workload.build_step(spec.quick),
-            plan,
-        )
-        .unwrap();
-        let report = sampler.run().unwrap();
-        let actual = metrics_of(&spec.run());
-        let cell = sample_cell_json(&spec, &report, &actual, 4.2);
-        let text = sample_doc_json(5.0, &[cell]);
-
-        let doc = SampleDoc::parse(&text).expect("own output parses");
-        assert_eq!(doc.cells.len(), 1);
-        assert_eq!(doc.cells[0].plan, plan);
-        assert!(doc.cells[0].exact, "exhaustive plan takes the exact path");
-        doc.check().expect("exact cells satisfy any bound");
-
-        // The measurement-only document shares the version stamp and is
-        // structurally sane.
-        let m = sample_measure_json(&spec, &report);
-        assert!(m.starts_with(&format!(
-            "{{\"engine_version\":{},",
-            vic_core::ENGINE_VERSION
-        )));
-        assert_eq!(m.matches('{').count(), m.matches('}').count());
-    }
-
     /// The quick Table-4+5 grid plus one spec per non-default knob.
     fn reader_specs() -> Vec<SystemSpec> {
         use vic_core::policy::Configuration;
@@ -820,9 +689,6 @@ mod tests {
         let base = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Cmu(Configuration::F));
         let mut v = base;
         v.write_through = true;
-        specs.push(v);
-        let mut v = base;
-        v.repeat = 3;
         specs.push(v);
         let mut v = base;
         v.colored_free_lists = true;

@@ -11,7 +11,7 @@
 //!   cycles went, rendered through the same [`Table`] the experiment
 //!   binaries use (plain, CSV or Markdown);
 //! * **diffs** — a human-readable rendering of a
-//!   [`DocDiff`](vic_profile::DocDiff) between two profile documents;
+//!   [`DocDiff`] between two profile documents;
 //! * **the baseline** — `BENCH_baseline.json`, the profile of the quick
 //!   Table-4 + Table-5 grids, regenerated by `profile baseline` and
 //!   checked by `profile --check-baseline` in CI. The simulator is

@@ -16,9 +16,7 @@ use vic_machine::WritePolicy;
 use vic_os::{KernelConfig, SystemKind};
 use vic_profile::CostTree;
 use vic_trace::Tracer;
-use vic_workloads::{
-    run_profiled, run_traced, Repeated, RunStats, StepWorkload, Workload, WorkloadKind,
-};
+use vic_workloads::{run_profiled, run_traced, RunStats, Workload, WorkloadKind};
 
 use vic_core::policy::Configuration;
 
@@ -37,11 +35,6 @@ pub struct SystemSpec {
     pub write_through: bool,
     /// The paper's proposed single-cycle page purge hardware.
     pub fast_purge: bool,
-    /// Run the workload this many times back-to-back on one warm kernel
-    /// (see [`vic_workloads::Repeated`]); 1 is the plain run. The scaling
-    /// knob behind interval sampling: repetition makes workload *length*
-    /// a spec parameter without touching any driver.
-    pub repeat: u32,
 }
 
 impl SystemSpec {
@@ -54,7 +47,6 @@ impl SystemSpec {
             colored_free_lists: false,
             write_through: false,
             fast_purge: false,
-            repeat: 1,
         }
     }
 
@@ -84,30 +76,8 @@ impl SystemSpec {
     }
 
     /// Build the workload driver (fresh per run; drivers are stateless).
-    /// With `repeat > 1` the driver is the repeated step workload, so the
-    /// classic run path executes the identical op stream the stepwise
-    /// path does.
     pub fn build_workload(&self) -> Box<dyn Workload> {
-        if self.repeat > 1 {
-            Box::new(Repeated::new(
-                self.workload.build_step(self.quick),
-                u64::from(self.repeat),
-            ))
-        } else {
-            self.workload.build(self.quick)
-        }
-    }
-
-    /// Build the stepwise (checkpointable) driver, honouring `repeat`.
-    pub fn build_step_workload(&self) -> Box<dyn StepWorkload> {
-        if self.repeat > 1 {
-            Box::new(Repeated::new(
-                self.workload.build_step(self.quick),
-                u64::from(self.repeat),
-            ))
-        } else {
-            self.workload.build_step(self.quick)
-        }
+        self.workload.build(self.quick)
     }
 
     /// Execute the run, untraced. Deterministic: the same spec always
@@ -146,9 +116,6 @@ impl SystemSpec {
         }
         if self.fast_purge {
             s.push_str(" +fast-purge");
-        }
-        if self.repeat > 1 {
-            s.push_str(&format!(" x{}", self.repeat));
         }
         s
     }

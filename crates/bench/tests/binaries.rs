@@ -178,74 +178,6 @@ fn profile_binary_reports_diffs_and_gates() {
 }
 
 #[test]
-fn hostbench_measures_appends_compares_and_checks() {
-    let hostbench = env!("CARGO_BIN_EXE_hostbench");
-    let json = tmp_file("host.json");
-    let _ = std::fs::remove_file(&json);
-
-    // First measurement: fresh file, one entry, no comparison possible.
-    let out = run_bin(
-        hostbench,
-        &[
-            "--tiny",
-            "--reps",
-            "1",
-            "--label",
-            "first",
-            "--json",
-            json.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "hostbench failed: {out:?}");
-    let text = stdout_of(&out);
-    assert!(text.contains("timing the tiny grid"), "{text}");
-    assert!(text.contains("appended entry 'first'"), "{text}");
-    assert!(!text.contains("speedup"), "nothing to compare yet:\n{text}");
-
-    // Second measurement: appends and prints the before/after table.
-    let out = run_bin(
-        hostbench,
-        &[
-            "--tiny",
-            "--reps",
-            "1",
-            "--label",
-            "second",
-            "--json",
-            json.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "hostbench failed: {out:?}");
-    let text = stdout_of(&out);
-    assert!(text.contains("'first' vs 'second'"), "{text}");
-    assert!(text.contains("speedup"), "{text}");
-    assert!(text.contains("(2 total)"), "{text}");
-
-    // Check mode validates the file it wrote.
-    let out = run_bin(hostbench, &["--check", json.to_str().unwrap()]);
-    assert!(out.status.success(), "check failed: {out:?}");
-    let text = stdout_of(&out);
-    assert!(text.contains("schema-valid, 2 entries"), "{text}");
-
-    // A corrupted file fails the check with exit 2.
-    std::fs::write(&json, "{\"version\":999}").unwrap();
-    let out = run_bin(hostbench, &["--check", json.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "broken schema must fail");
-    let _ = std::fs::remove_file(&json);
-}
-
-#[test]
-fn hostbench_rejects_conflicting_flags() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_hostbench"),
-        &["--check", "x.json", "--tiny"],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(err.contains("usage:"), "stderr:\n{err}");
-}
-
-#[test]
 fn run_inspect_writes_an_occupancy_series() {
     let csv = tmp_file("inspect.csv");
     let out = run_bin(
@@ -379,14 +311,6 @@ fn unwritable_output_paths_exit_2_with_a_named_path() {
             vec!["--quick", "--json", scratch, "--metrics", bad],
         ),
         (
-            env!("CARGO_BIN_EXE_hostbench"),
-            vec!["--tiny", "--reps", "1", "--json", bad],
-        ),
-        (
-            env!("CARGO_BIN_EXE_hostbench"),
-            vec!["--tiny", "--reps", "1", "--metrics", bad],
-        ),
-        (
             env!("CARGO_BIN_EXE_profile"),
             vec!["fork-bench", "F", "--quick", "--json", bad],
         ),
@@ -402,6 +326,18 @@ fn unwritable_output_paths_exit_2_with_a_named_path() {
             err.contains("cannot access '/nonexistent-vic-dir/out.json'"),
             "typed Io error names the path ({exe} {args:?}):\n{err}"
         );
+    }
+    // A trace file that opens but cannot take the bytes: the write error
+    // surfaces once the sink is finished instead of being lost.
+    if cfg!(target_os = "linux") {
+        let out = run_bin(
+            env!("CARGO_BIN_EXE_run"),
+            &["fork-bench", "F", "--quick", "--trace", "/dev/full"],
+        );
+        assert_eq!(out.status.code(), Some(2), "--trace /dev/full: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.starts_with("run: cannot access '/dev/full': "), "{err}");
+        assert!(!stdout_of(&out).contains("trace:     written"), "{out:?}");
     }
 }
 
@@ -565,6 +501,12 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
     std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
     let garbage = tmp_file("bad-cp-garbage.json");
     std::fs::write(&garbage, "not a checkpoint\n").unwrap();
+    // A run-length count far past any real image must fail before the
+    // decoder allocates for it.
+    let inflated = tmp_file("bad-cp-inflated.json");
+    let huge = good.replacen(",0*2,", ",0*100000000000000,", 1);
+    assert_ne!(huge, good, "the checkpoint holds a 0*2 token");
+    std::fs::write(&inflated, huge).unwrap();
     // 200 KB of openers used to overflow the JSON parser's stack.
     let nested = tmp_file("bad-cp-nested.json");
     std::fs::write(&nested, "[".repeat(200_000)).unwrap();
@@ -574,6 +516,7 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
         (mismatched.to_str().unwrap(), "engine-version mismatch"),
         (truncated.to_str().unwrap(), "truncated document"),
         (garbage.to_str().unwrap(), "non-JSON garbage"),
+        (inflated.to_str().unwrap(), "inflated RLE count"),
         (nested.to_str().unwrap(), "deeply nested JSON"),
     ] {
         let out = run_bin(run, &["--restore", path]);
@@ -593,7 +536,7 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
     // A checkpoint cycle without a file (and vice versa) is a usage error.
     let out = run_bin(run, &["fork-bench", "F", "--quick", "--checkpoint-at", "5"]);
     assert_eq!(out.status.code(), Some(2));
-    for f in [&cp, &mismatched, &truncated, &garbage, &nested] {
+    for f in [&cp, &mismatched, &truncated, &garbage, &inflated, &nested] {
         let _ = std::fs::remove_file(f);
     }
 }
@@ -805,33 +748,6 @@ fn sweep_metrics_exports_and_check_metrics_validates() {
     let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "tampered metrics must fail");
 
-    let _ = std::fs::remove_file(&json);
-    let _ = std::fs::remove_file(&metrics);
-}
-
-#[test]
-fn hostbench_metrics_export_is_cross_checked() {
-    let hostbench = env!("CARGO_BIN_EXE_hostbench");
-    let sweep = env!("CARGO_BIN_EXE_sweep");
-    let json = tmp_file("host-m.json");
-    let metrics = tmp_file("host-metrics.json");
-    let _ = std::fs::remove_file(&json);
-    let out = run_bin(
-        hostbench,
-        &[
-            "--tiny",
-            "--reps",
-            "1",
-            "--json",
-            json.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "hostbench failed: {out:?}");
-    // The sweep's validator reads hostbench metrics too — one schema.
-    let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
-    assert!(out.status.success(), "shared schema: {out:?}");
     let _ = std::fs::remove_file(&json);
     let _ = std::fs::remove_file(&metrics);
 }

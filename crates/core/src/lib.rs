@@ -76,11 +76,11 @@ pub mod state;
 pub mod types;
 
 /// The engine schema version, stamped into every versioned JSON document
-/// the workspace emits (run/sweep/profile/metrics/hostbench/flight/
-/// checkpoint). One constant for the whole engine: any change to simulated
-/// behaviour or to a serialized schema bumps it, and a checkpoint or cached
-/// result from another version is rejected rather than reinterpreted.
-pub const ENGINE_VERSION: u64 = 3;
+/// the workspace emits (run/sweep/profile/metrics/flight/checkpoint). One
+/// constant for the whole engine: any change to simulated behaviour or to
+/// a serialized schema bumps it, and a checkpoint or cached result from
+/// another version is rejected rather than reinterpreted.
+pub const ENGINE_VERSION: u64 = 4;
 
 pub use fxhash::{hash_words, FxBuildHasher, FxHashMap, FxHashSet};
 pub use manager::{AccessHints, ConsistencyManager, DmaDir, MgrStats};

@@ -39,11 +39,6 @@ pub struct Cpu {
     pub(crate) cycles: u64,
     /// Hardware event counters.
     pub(crate) stats: MachineStats,
-    /// The statistics gate: while `Some`, the counters are considered
-    /// frozen — simulation proceeds normally, and thawing restores this
-    /// pre-freeze snapshot, discarding everything the frozen window
-    /// recorded. Instrumentation, not simulated state: never serialized.
-    pub(crate) stats_stash: Option<MachineStats>,
 }
 
 impl Cpu {
@@ -73,7 +68,6 @@ impl Cpu {
             xlate_cache: None,
             cycles: 0,
             stats: MachineStats::default(),
-            stats_stash: None,
         }
     }
 

@@ -214,39 +214,6 @@ impl Machine {
         self.profiler.reset_tree();
     }
 
-    /// Freeze or thaw the per-CPU statistics gate. While frozen, the
-    /// machine keeps simulating normally — cycles advance, caches, TLB
-    /// and memory evolve — but on thaw the event counters are restored to
-    /// their pre-freeze values, as if the frozen window had recorded
-    /// nothing. This is the sampling driver's functional warm-up mode:
-    /// state evolves, statistics do not. Freezing an already-frozen gate
-    /// (or thawing an open one) is a no-op. The gate is instrumentation,
-    /// not simulated state: it is never serialized and a restore leaves
-    /// it untouched.
-    pub fn set_stats_frozen(&mut self, frozen: bool) {
-        if frozen {
-            if self.cpu.stats_stash.is_none() {
-                self.cpu.stats_stash = Some(self.cpu.stats.clone());
-            }
-        } else if let Some(saved) = self.cpu.stats_stash.take() {
-            self.cpu.stats = saved;
-        }
-    }
-
-    /// Is the statistics gate currently frozen?
-    pub fn stats_frozen(&self) -> bool {
-        self.cpu.stats_stash.is_some()
-    }
-
-    /// Zero the hardware event counters without touching the cycle
-    /// account — the measurement-window reset. Per-interval statistics
-    /// are then directly readable at the window's end, while elapsed
-    /// cycles come from the monotonic counter's delta (resetting the
-    /// counter itself would change trace timestamps and stop points).
-    pub fn reset_stats(&mut self) {
-        self.cpu.stats.reset();
-    }
-
     /// Emit a write-back event for an eviction that occurred while
     /// filling `va` (the victim line shares the fill's cache page; its own
     /// frame is not tracked by the hardware, so the *filling* frame is

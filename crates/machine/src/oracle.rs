@@ -112,7 +112,7 @@ impl Oracle {
 
     /// Serialize the shadow and the violation log. The observer of each
     /// retained violation is a `&'static str` in memory; on the wire it
-    /// becomes a small code (see [`observer_code`]). `panic_on_violation`
+    /// becomes a small code (see `observer_code`). `panic_on_violation`
     /// is a test harness knob, not simulated state, and is not written.
     pub fn save_state(&self, w: &mut WordWriter) {
         w.bytes(&self.expected);

@@ -18,12 +18,6 @@ pub struct MetricsShard {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    /// The freeze gate: while set, `add`/`gauge_max`/`observe` are no-ops.
-    /// The sampling driver's functional warm-up uses this so warm-up
-    /// windows leave no trace in the shard. Defaults to thawed; freezing
-    /// is transient instrumentation state, so a frozen shard still merges
-    /// and compares by its recorded contents plus the gate flag.
-    frozen: bool,
 }
 
 impl MetricsShard {
@@ -32,39 +26,19 @@ impl MetricsShard {
         MetricsShard::default()
     }
 
-    /// Freeze or thaw the shard. While frozen, every recording method
-    /// returns without touching the maps; already-recorded values stay.
-    pub fn set_frozen(&mut self, frozen: bool) {
-        self.frozen = frozen;
-    }
-
-    /// Is the shard currently discarding recordings?
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Add `n` to the named counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        if self.frozen {
-            return;
-        }
         *self.counters.entry(name.to_string()).or_insert(0) += n;
     }
 
     /// Raise the named gauge to at least `v` (merge keeps the maximum).
     pub fn gauge_max(&mut self, name: &str, v: u64) {
-        if self.frozen {
-            return;
-        }
         let g = self.gauges.entry(name.to_string()).or_insert(0);
         *g = (*g).max(v);
     }
 
     /// Record one observation into the named histogram.
     pub fn observe(&mut self, name: &str, v: u64) {
-        if self.frozen {
-            return;
-        }
         self.histograms
             .entry(name.to_string())
             .or_default()
@@ -173,22 +147,6 @@ mod tests {
         assert_eq!(ab_c.counter("x"), 3);
         assert_eq!(ab_c.gauge("g"), Some(40));
         assert_eq!(ab_c.histogram("h").unwrap().count(), 4);
-    }
-
-    #[test]
-    fn frozen_shard_discards_recordings() {
-        let mut s = MetricsShard::new();
-        s.add("runs", 1);
-        s.set_frozen(true);
-        assert!(s.is_frozen());
-        s.add("runs", 99);
-        s.gauge_max("peak", 99);
-        s.observe("ns", 99);
-        s.set_frozen(false);
-        s.add("runs", 2);
-        assert_eq!(s.counter("runs"), 3, "the frozen window recorded nothing");
-        assert_eq!(s.gauge("peak"), None);
-        assert!(s.histogram("ns").is_none());
     }
 
     #[test]

@@ -196,10 +196,6 @@ pub struct Kernel {
     prepare_scope: PrepareScope,
     system: SystemKind,
     stats: OsStats,
-    /// The statistics gate's stash: while `Some`, the kernel counters are
-    /// frozen and thawing restores this pre-freeze snapshot.
-    /// Instrumentation, not simulated state: never serialized.
-    stats_stash: Option<OsStats>,
     kwin: KernelWindows,
     align_mod: u64,
     seq: u32,
@@ -250,7 +246,6 @@ impl Kernel {
             prepare_scope: cfg.system.prepare_scope(),
             system: cfg.system,
             stats: OsStats::default(),
-            stats_stash: None,
             kwin: KernelWindows::new(align_mod),
             align_mod,
             seq: 1,
@@ -343,61 +338,6 @@ impl Kernel {
         self.machine.reset_account();
         self.pmap.reset_mgr_stats();
         self.stats.reset();
-    }
-
-    /// Reset every statistic *counter* (hardware, manager, kernel, and the
-    /// profiler's cost tree) while keeping the cycle account running. The
-    /// sampling driver opens each measurement window with this, so
-    /// interval deltas read directly off the counters while cycle numbers
-    /// stay comparable to the uninterrupted run's.
-    pub fn reset_stat_counters(&mut self) {
-        self.machine.reset_stats();
-        self.machine.profiler_mut().reset_tree();
-        self.pmap.reset_mgr_stats();
-        self.stats.reset();
-    }
-
-    /// Freeze or thaw statistics across the whole stack: the machine's
-    /// hardware counters, the profiler's charging, and the kernel's own
-    /// event counters. While frozen, simulation proceeds normally —
-    /// caches, TLB and consistency state evolve — but thawing restores
-    /// every counter to its pre-freeze snapshot. This is the sampling
-    /// driver's functional warm-up mode. The cycle account and the
-    /// manager's counters are *not* gated: cycles must keep advancing to
-    /// mark interval boundaries, and measurement windows start with a
-    /// [`Kernel::reset_stat_counters`], which covers both.
-    pub fn set_stats_frozen(&mut self, frozen: bool) {
-        self.machine.set_stats_frozen(frozen);
-        self.machine.profiler_mut().set_frozen(frozen);
-        if frozen {
-            if self.stats_stash.is_none() {
-                self.stats_stash = Some(self.stats.clone());
-            }
-        } else if let Some(saved) = self.stats_stash.take() {
-            self.stats = saved;
-        }
-    }
-
-    /// Is the statistics gate currently closed?
-    pub fn stats_frozen(&self) -> bool {
-        self.stats_stash.is_some()
-    }
-
-    /// Swap the consistency system under a live kernel — the what-if
-    /// fork's pivot. Quiesces the caches, rebuilds the manager for
-    /// `system`, replays every live mapping into it
-    /// ([`Pmap::swap_manager`]), and adopts `system`'s OS policy knobs.
-    /// The hardware cost of the swap lands on the cycle account; callers
-    /// comparing forks reset statistics right after swapping on *both*
-    /// sides so the pivot itself drops out of the comparison.
-    pub fn swap_system(&mut self, cpu: CpuId, system: SystemKind) {
-        let geom = self.machine.config().geometry();
-        let frames = self.machine.config().num_frames();
-        let mgr = system.build_manager(frames, geom);
-        self.pmap.swap_manager(cpu, &mut self.machine, mgr);
-        self.policy = system.policy();
-        self.prepare_scope = system.prepare_scope();
-        self.system = system;
     }
 
     /// Take a point-in-time system snapshot: the machine's hardware view
@@ -902,7 +842,7 @@ impl Kernel {
     }
 
     /// Access a run of words with fault resolution — equivalent to calling
-    /// [`Kernel::access_word`] per word, but only each page's *first* word
+    /// `Kernel::access_word` per word, but only each page's *first* word
     /// goes through the faulting path: once it succeeds, the page's
     /// mapping exists and its effective protection admits the access, and
     /// nothing below touches the pmap, so the rest of the page cannot

@@ -288,75 +288,6 @@ impl Pmap {
         );
     }
 
-    /// Replace the consistency manager in place — the what-if fork's pivot.
-    ///
-    /// A freshly built manager starts from its boot assumption: nothing is
-    /// cached and no mapping exists. The swap makes both true-enough before
-    /// handing over: every cache page a live mapping could occupy is flushed
-    /// (data) or purged (instructions) so memory is the sole holder of
-    /// current data, every live mapping's effective protection drops to
-    /// [`Prot::NONE`], and then `on_map` is replayed for each mapping in
-    /// canonical (space, vpage) order so the new manager builds its own
-    /// state and chooses its own protections. All hardware work is charged
-    /// to the cycle account like any other manager decision, so forks that
-    /// swap pay a symmetric, visible cost.
-    pub fn swap_manager(
-        &mut self,
-        cpu: CpuId,
-        machine: &mut Machine,
-        new_mgr: Box<dyn ConsistencyManager>,
-    ) {
-        use vic_core::types::CacheKind;
-        let geom = machine.config().geometry();
-        let mut entries: Vec<(Mapping, PFrame, Prot)> = self
-            .mappings
-            .iter()
-            .map(|(m, (f, p))| (*m, *f, *p))
-            .collect();
-        entries.sort_by_key(|(m, _, _)| (m.space.0, m.vpage.0));
-        // Quiesce the caches: one flush/purge per distinct (cache page,
-        // frame) pair reachable from a live mapping. Attributed to the old
-        // manager's accounting epoch; the caller resets stats afterwards.
-        machine.profiler_mut().push(Seg::Mgr("swap"));
-        let mut d_pairs: Vec<(u32, u64)> = entries
-            .iter()
-            .map(|(m, f, _)| (geom.cache_page(CacheKind::Data, m.vpage).0, f.0))
-            .collect();
-        d_pairs.sort_unstable();
-        d_pairs.dedup();
-        for (cp, f) in d_pairs {
-            machine.flush_dcache_page(CachePage(cp), PFrame(f));
-        }
-        let mut i_pairs: Vec<(u32, u64)> = entries
-            .iter()
-            .map(|(m, f, _)| (geom.cache_page(CacheKind::Insn, m.vpage).0, f.0))
-            .collect();
-        i_pairs.sort_unstable();
-        i_pairs.dedup();
-        for (cp, f) in i_pairs {
-            machine.purge_icache_page(CachePage(cp), PFrame(f));
-        }
-        // Drop every effective protection to the fresh-mapping baseline, so
-        // a manager that grants lazily starts from the same state `enter`
-        // would have given it.
-        for (m, _, _) in &entries {
-            machine.set_protection(*m, Prot::NONE);
-            machine.set_uncached(*m, false);
-        }
-        machine.profiler_mut().pop();
-        self.mgr = new_mgr;
-        for (m, frame, logical) in entries {
-            self.dispatch(
-                machine,
-                frame,
-                MgrOp::Map,
-                Some(m.vpage),
-                AccessHints::default(),
-                |mgr, hw| mgr.on_map(cpu, hw, frame, m, logical),
-            );
-        }
-    }
-
     /// Serialize the pmap: the manager's state, then the logical-mapping
     /// table. The table is a point-lookup hash map (its iteration order
     /// never decides behaviour), so it is written in sorted order for a

@@ -2,11 +2,12 @@
 //!
 //! The writer lives in `vic_bench::output` (the same hand-rolled JSON
 //! builder every bench artifact uses); this module is the reader side,
-//! used by `profile diff` and the CI baseline check. The format:
+//! used by `profile diff` and the CI baseline check. The format, where
+//! `V` stands for [`ENGINE_VERSION`]:
 //!
 //! ```json
 //! {
-//!   "engine_version": 2,
+//!   "engine_version": V,
 //!   "runs": [
 //!     {
 //!       "spec": { ... },                  // opaque here; label is the key

@@ -20,20 +20,13 @@ struct State {
 #[derive(Debug, Default)]
 pub struct Profiler {
     state: Option<Box<State>>,
-    /// The freeze gate: a frozen profiler's live state parks here, so
-    /// every recording site sees `state == None` and costs exactly the
-    /// disabled profiler's one branch until the gate thaws.
-    parked: Option<Box<State>>,
 }
 
 impl Profiler {
     /// A disabled profiler (the default): records nothing, allocates
     /// nothing.
     pub fn off() -> Self {
-        Profiler {
-            state: None,
-            parked: None,
-        }
+        Profiler { state: None }
     }
 
     /// An enabled profiler with an empty tree.
@@ -43,31 +36,7 @@ impl Profiler {
                 tree: CostTree::new(),
                 stack: vec![ROOT],
             })),
-            parked: None,
         }
-    }
-
-    /// Freeze or thaw an enabled profiler. While frozen, every
-    /// `push`/`pop`/`leaf` site is the disabled profiler's single branch —
-    /// nothing is charged, and the accumulated tree is preserved for the
-    /// thaw. The sampling driver's functional warm-up uses this so the
-    /// warm-up window charges nothing. Freeze/thaw happen between driver
-    /// steps, at top level: freezing with a span open is a bug at the call
-    /// site. A disabled profiler stays disabled.
-    pub fn set_frozen(&mut self, frozen: bool) {
-        if frozen {
-            if let Some(st) = self.state.take() {
-                debug_assert!(st.stack.len() == 1, "freeze with a span open");
-                self.parked = Some(st);
-            }
-        } else if let Some(st) = self.parked.take() {
-            self.state = Some(st);
-        }
-    }
-
-    /// Is the profiler currently frozen?
-    pub fn is_frozen(&self) -> bool {
-        self.parked.is_some()
     }
 
     /// Is the profiler recording?
@@ -204,33 +173,6 @@ mod tests {
             7
         );
         assert_eq!(find("os:fault.mapping/machine:mapping_update").cycles, 25);
-    }
-
-    #[test]
-    fn frozen_records_nothing_and_thaw_resumes() {
-        let mut p = Profiler::enabled();
-        p.leaf("load.hit", 3);
-        p.set_frozen(true);
-        assert!(p.is_frozen());
-        assert!(!p.is_enabled(), "frozen looks disabled to recording sites");
-        p.push(Seg::Os("warmup"));
-        p.leaf("software", 999);
-        p.pop();
-        p.set_frozen(false);
-        assert!(!p.is_frozen());
-        p.leaf("load.hit", 4);
-        let t = p.take_tree().unwrap();
-        assert_eq!(t.total_cycles(), 7, "the frozen window charged nothing");
-    }
-
-    #[test]
-    fn freezing_a_disabled_profiler_keeps_it_disabled() {
-        let mut p = Profiler::off();
-        p.set_frozen(true);
-        assert!(!p.is_frozen());
-        p.set_frozen(false);
-        assert!(!p.is_enabled());
-        assert!(p.tree().is_none());
     }
 
     #[test]

@@ -1,58 +1,133 @@
-//! Interval-sampled measurement for rep-periodic workloads.
+//! The flattened run counters the repository benchmark digests.
 //!
-//! A functional simulator cannot fast-forward: every simulated cycle is
-//! host work, so measuring a 10x longer workload costs 10x the wall
-//! clock. This crate exploits *rep-periodicity* instead. A workload
-//! scaled by the `repeat` knob (see [`vic_workloads::Repeated`]) runs the
-//! same driver back-to-back `R` times; after a few repetitions the
-//! system settles into an exact steady cycle — often a fixed point, but
-//! sometimes a short alternation when shared state (free-list rotation,
-//! task ids) wobbles between rep profiles; [`detect_period`] finds the
-//! cycle in the paced totals. The sampler simulates only the first `k`
-//! repetitions (the *pacer*), checkpoints the last of them — the
-//! *steady rep* — at
-//! interval boundaries, and for a chosen subset of intervals forks the
-//! paused system from an in-memory checkpoint:
+//! [`metrics_of`] flattens a [`RunStats`] into a fixed-order `u64`
+//! vector, [`METRICS`] names its entries and [`metric_index`] looks a
+//! name up. The benchmark (`examples/benchmark`) hashes this vector into
+//! `expected_digests.json` and derives its count metrics from it.
 //!
-//! 1. **warm-up window** — replay from the checkpoint `w` intervals
-//!    before the measured one with all statistics gates frozen
-//!    ([`vic_os::Kernel::set_stats_frozen`]), so caches, TLB and
-//!    consistency state evolve while counters stay untouched;
-//! 2. **measurement window** — thaw, reset every counter
-//!    ([`vic_os::Kernel::reset_stat_counters`]), drive exactly one
-//!    interval, and record the per-interval [`RunStats`] and
-//!    [`CostTree`](vic_profile::CostTree) deltas.
-//!
-//! The [`extrapolate`] module scales interval measurements to a full-run
-//! estimate with an exact integer path when the measured intervals tile
-//! the whole steady rep (sampling fraction 1.0 conserves every counter
-//! bit-for-bit). The [`doc`] module reads the versioned calibration
-//! document (`BENCH_sample.json`) whose writer lives in
-//! `vic_bench::output` — this crate stays free of the bench harness so
-//! the harness can depend on it.
-//!
-//! **What-if forking** rides on the same checkpoints: fork the paused
-//! steady rep twice, swap the consistency manager in one fork
-//! ([`vic_os::Kernel::swap_system`]), run both over the identical
-//! remaining op stream and diff the cost trees
-//! ([`vic_profile::DocDiff`]).
-//!
-//! Determinism contract: every fork replays the exact step sequence the
-//! uninterrupted run would execute (the pause check runs *before* each
-//! step, mirroring [`vic_workloads::drive`]), so a measured interval is
-//! byte-identical to the same window carved out of a full run.
+//! It stays a crate of its own because the benchmark depends on it by
+//! path and pins the crate graph in its own `Cargo.lock`: moving these
+//! items next to [`RunStats`] and deleting the crate is a change to the
+//! benchmark.
 
 #![warn(missing_docs)]
 
-pub mod doc;
-pub mod driver;
-pub mod extrapolate;
-pub mod plan;
+use vic_workloads::RunStats;
 
-pub use doc::{SampleCell, SampleDoc};
-pub use driver::{what_if, IntervalMeasure, SampleReport, Sampler, WhatIf};
-pub use extrapolate::{
-    detect_period, extrapolate, metric_index, metrics_of, rel_err_pct, Extrapolation,
-    BOUNDED_METRICS, METRICS,
-};
-pub use plan::SamplePlan;
+/// The flattened metric names, in [`metrics_of`] order. Every consumer
+/// indexes metrics through this list, so writer and reader cannot
+/// drift.
+pub const METRICS: &[&str] = &[
+    "cycles",
+    "loads",
+    "stores",
+    "ifetches",
+    "d_hits",
+    "d_misses",
+    "i_hits",
+    "i_misses",
+    "writebacks",
+    "uncached",
+    "tlb_misses",
+    "flush_writebacks",
+    "dma_writes",
+    "dma_reads",
+    "d_flush_pages",
+    "d_flush_cycles",
+    "d_purge_pages",
+    "d_purge_cycles",
+    "i_purge_pages",
+    "i_purge_cycles",
+    "mgr_flushes",
+    "mgr_purges",
+    "mapping_faults",
+    "consistency_faults",
+    "zero_fills",
+    "page_copies",
+    "ipc_transfers",
+    "cow_faults",
+    "cow_copies",
+    "d2i_copies",
+    "fs_reads",
+    "fs_writes",
+    "buf_misses",
+    "buf_writebacks",
+    "tasks_created",
+    "pages_allocated",
+    "pages_freed",
+    "page_outs",
+    "page_ins",
+];
+
+/// The position of `name` in [`METRICS`], if it is a known metric.
+pub fn metric_index(name: &str) -> Option<usize> {
+    METRICS.iter().position(|m| *m == name)
+}
+
+/// Flatten a [`RunStats`] into the [`METRICS`]-aligned counter vector.
+pub fn metrics_of(s: &RunStats) -> Vec<u64> {
+    vec![
+        s.cycles,
+        s.machine.loads,
+        s.machine.stores,
+        s.machine.ifetches,
+        s.machine.d_hits,
+        s.machine.d_misses,
+        s.machine.i_hits,
+        s.machine.i_misses,
+        s.machine.writebacks,
+        s.machine.uncached,
+        s.machine.tlb_misses,
+        s.machine.flush_writebacks,
+        s.machine.dma_writes,
+        s.machine.dma_reads,
+        s.machine.d_flush_pages.count,
+        s.machine.d_flush_pages.cycles,
+        s.machine.d_purge_pages.count,
+        s.machine.d_purge_pages.cycles,
+        s.machine.i_purge_pages.count,
+        s.machine.i_purge_pages.cycles,
+        s.mgr.total_flushes(),
+        s.mgr.total_purges(),
+        s.os.mapping_faults,
+        s.os.consistency_faults,
+        s.os.zero_fills,
+        s.os.page_copies,
+        s.os.ipc_transfers,
+        s.os.cow_faults,
+        s.os.cow_copies,
+        s.os.d2i_copies,
+        s.os.fs_reads,
+        s.os.fs_writes,
+        s.os.buf_misses,
+        s.os.buf_writebacks,
+        s.os.tasks_created,
+        s.os.pages_allocated,
+        s.os.pages_freed,
+        s.os.page_outs,
+        s.os.page_ins,
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metric_names_and_vector_stay_aligned() {
+        let stats = RunStats {
+            workload: "t".to_string(),
+            system: "s".to_string(),
+            cycles: 7,
+            seconds: 0.0,
+            machine: vic_machine::MachineStats::default(),
+            mgr: vic_core::MgrStats::default(),
+            os: vic_os::OsStats::default(),
+            oracle_violations: 0,
+        };
+        let v = metrics_of(&stats);
+        assert_eq!(v.len(), METRICS.len());
+        assert_eq!(v[metric_index("cycles").unwrap()], 7);
+        assert_eq!(metric_index("no-such-metric"), None);
+    }
+}

@@ -58,4 +58,4 @@ pub use runner::{
     Observed, RunStats, Workload,
 };
 pub use spec::WorkloadKind;
-pub use step::{drive, Cursor, DriveOutcome, Repeated, StepWorkload};
+pub use step::{drive, Cursor, DriveOutcome, StepWorkload};

@@ -1,6 +1,6 @@
 //! Stepwise workload execution: the machinery behind checkpoint/restore.
 //!
-//! A monolithic [`Workload::run`](crate::runner::Workload::run) cannot be
+//! A monolithic [`Workload::run`] cannot be
 //! interrupted mid-flight: its progress lives in Rust stack frames, which
 //! no serializer can reach. Every driver in this crate therefore implements
 //! [`StepWorkload`] instead — a resumable state machine whose *entire*
@@ -27,8 +27,7 @@ use vic_os::{Kernel, OsError};
 
 use crate::runner::Workload;
 
-/// Section tag guarding a serialized cursor ("cursor-2": v2 added the
-/// repetition counter).
+/// Section tag guarding a serialized cursor.
 pub const CURSOR_STATE_TAG: u64 = u64::from_le_bytes(*b"cursor-2");
 
 /// The serializable progress of a [`StepWorkload`].
@@ -54,8 +53,6 @@ pub struct Cursor {
     pub u: Vec<u64>,
     /// Sequence registers (e.g. created file ids and their page counts).
     pub lists: Vec<Vec<u64>>,
-    /// Completed repetitions of the whole workload (see [`Repeated`]).
-    pub rep: u64,
 }
 
 impl Cursor {
@@ -68,7 +65,6 @@ impl Cursor {
             rng: Rng64::seed_from_u64(0),
             u: Vec::new(),
             lists: Vec::new(),
-            rep: 0,
         }
     }
 
@@ -79,20 +75,6 @@ impl Cursor {
         self.j = 0;
     }
 
-    /// Rewind the register file for another repetition of the workload:
-    /// bump the repetition counter and reset everything a driver reads
-    /// before its phase 0 runs. The RNG is kept as-is — every driver that
-    /// uses randomness re-seeds it in phase 0, so the next repetition
-    /// draws the identical sequence.
-    pub fn begin_next_rep(&mut self) {
-        self.rep += 1;
-        self.phase = 0;
-        self.i = 0;
-        self.j = 0;
-        self.u.clear();
-        self.lists.clear();
-    }
-
     /// Serialize the cursor: tag, phase/loop counters, RNG state, then the
     /// scalar and sequence registers with explicit lengths.
     pub fn save_state(&self, w: &mut WordWriter) {
@@ -100,7 +82,6 @@ impl Cursor {
         w.u64(self.phase);
         w.u64(self.i);
         w.u64(self.j);
-        w.u64(self.rep);
         w.u64(self.rng.state());
         w.usize(self.u.len());
         for &v in &self.u {
@@ -126,7 +107,6 @@ impl Cursor {
         let phase = r.u64()?;
         let i = r.u64()?;
         let j = r.u64()?;
-        let rep = r.u64()?;
         let rng = Rng64::from_state(r.u64()?);
         let nu = r.count(1)?;
         let mut u = Vec::with_capacity(nu);
@@ -151,7 +131,6 @@ impl Cursor {
             rng,
             u,
             lists,
-            rep,
         })
     }
 }
@@ -223,57 +202,6 @@ pub fn drive(
     }
 }
 
-/// A workload repeated back-to-back on one warm kernel — the scaling knob
-/// interval sampling needs to make *workload length* cheap.
-///
-/// Every batch driver in this crate ends with a cleanup phase (delete all
-/// files, terminate all tasks, sync), so running it again from a rewound
-/// cursor on the same kernel is well-defined: repetition 0 runs cold,
-/// later repetitions run against whatever cache/TLB/consistency state the
-/// previous one left — the steady state a longer benchmark would live in.
-/// Progress is still entirely in the [`Cursor`] (`rep` counts completed
-/// repetitions), so a repeated workload checkpoints and restores like any
-/// other.
-pub struct Repeated {
-    inner: Box<dyn StepWorkload>,
-    total: u64,
-}
-
-impl Repeated {
-    /// Repeat `inner` `total` times (`total >= 1`; 1 is the plain run).
-    pub fn new(inner: Box<dyn StepWorkload>, total: u64) -> Self {
-        assert!(total >= 1, "a workload runs at least once");
-        Repeated { inner, total }
-    }
-
-    /// The wrapped workload.
-    pub fn inner(&self) -> &dyn StepWorkload {
-        self.inner.as_ref()
-    }
-
-    /// Total repetitions.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-impl StepWorkload for Repeated {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn step(&self, k: &mut Kernel, cpu: CpuId, cur: &mut Cursor) -> Result<bool, OsError> {
-        if cur.rep >= self.total {
-            return Ok(false);
-        }
-        if self.inner.step(k, cpu, cur)? {
-            return Ok(true);
-        }
-        cur.begin_next_rep();
-        Ok(cur.rep < self.total)
-    }
-}
-
 /// Every step workload is a classic workload: run the state machine to
 /// completion from a fresh cursor on the boot CPU. This is the *only* run
 /// path — a checkpointed run pauses the very same machine mid-stream.
@@ -303,7 +231,6 @@ mod tests {
         let _ = cur.rng.gen_u64(0, 99);
         cur.u = vec![1, 2, 3];
         cur.lists = vec![vec![], vec![10, 20], vec![30]];
-        cur.rep = 4;
         let mut w = WordWriter::new();
         cur.save_state(&mut w);
         let words = w.into_words();
@@ -338,10 +265,10 @@ mod tests {
         let mut w = WordWriter::new();
         cur.save_state(&mut w);
         let words = w.into_words();
-        // Tag, five registers, then `u`'s length (6), the list count
-        // (10) and the second list's length (12).
-        assert_eq!(words[6..], [3, 1, 2, 3, 2, 0, 2, 10, 20]);
-        for at in [6, 10, 12] {
+        // Tag, four registers, then `u`'s length (5), the list count
+        // (9) and the second list's length (11).
+        assert_eq!(words[5..], [3, 1, 2, 3, 2, 0, 2, 10, 20]);
+        for at in [5, 9, 11] {
             let mut bad = words.clone();
             bad[at] = u64::MAX >> 4;
             assert_eq!(

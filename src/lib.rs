@@ -27,10 +27,8 @@
 //! * [`vic_profile`] (as `profile`) — the cycle-cost attribution profiler
 //!   (hierarchical cost trees keyed to the simulated clock, profile
 //!   documents, differential comparison for the perf-regression baseline);
-//! * [`vic_sample`] (as `sample`) — interval-sampled measurement (paced
-//!   reps, checkpoint-forked measurement windows with frozen warm-up,
-//!   steady-cycle-aware extrapolation with calibrated error bounds, and
-//!   what-if manager forking).
+//! * [`vic_sample`] (as `sample`) — the flattened run-counter vector the
+//!   repository benchmark digests.
 
 pub use vic_core as core;
 pub use vic_core::ENGINE_VERSION;
