@@ -25,25 +25,22 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "=== cargo doc -D warnings ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "=== sweep smoke (--quick) ==="
-sweep_json="$(mktemp)"
+echo "=== sweep smoke (--quick, --json, --metrics / --check-metrics) ==="
+# One quick sweep must write its results JSON and export a fleet-telemetry
+# document whose roll-ups cross-validate against its per-run list, and the
+# standalone validator must accept it. The grid size comes from the
+# sweep's header line, `sweep: N runs on T threads`.
+sweep_out="$(mktemp)"; sweep_json="$(mktemp)"; metrics_json="$(mktemp)"
 cargo run --release -p vic-bench --bin sweep --offline -q -- \
-    --quick --json "$sweep_json" >/dev/null
+    --quick --threads 2 --json "$sweep_json" --metrics "$metrics_json" >"$sweep_out"
+runs="$(sed -n 's/^sweep: \([0-9][0-9]*\) runs .*/\1/p' "$sweep_out")"
+[ -n "$runs" ] || { echo "sweep printed no run count"; exit 1; }
 test -s "$sweep_json" || { echo "sweep wrote no JSON"; exit 1; }
-rm -f "$sweep_json"
-
-echo "=== metrics smoke (sweep --metrics / --check-metrics) ==="
-# Fleet telemetry: a tiny sweep must export a metrics document whose
-# fleet roll-ups cross-validate against its per-run list, and the
-# standalone validator must accept it.
-metrics_json="$(mktemp)"; scratch_json="$(mktemp)"
-cargo run --release -p vic-bench --bin sweep --offline -q -- \
-    --quick --threads 2 --json "$scratch_json" --metrics "$metrics_json" >/dev/null
 grep -q "\"engine_version\":$engine_version," "$metrics_json" || { echo "metrics doc missing version"; exit 1; }
-grep -q '"runs_completed":23' "$metrics_json" || { echo "metrics doc missing fleet totals"; exit 1; }
+grep -q "\"runs_completed\":$runs," "$metrics_json" || { echo "metrics doc missing fleet totals"; exit 1; }
 cargo run --release -p vic-bench --bin sweep --offline -q -- \
     --check-metrics "$metrics_json" >/dev/null
-rm -f "$metrics_json" "$scratch_json"
+rm -f "$sweep_out" "$sweep_json" "$metrics_json"
 
 echo "=== flight-recorder smoke (chaos divergence dump) ==="
 # A sabotaged manager must trip the auditor and leave a post-mortem:
@@ -107,21 +104,24 @@ echo "=== profile baseline check (BENCH_baseline.json) ==="
 cargo run --release -p vic-bench --bin profile --offline -q -- --check-baseline
 
 echo "=== result-cache smoke (sweep --cache) ==="
-# A cold sweep fills a fresh cache directory; a warm sweep must serve all
-# 23 runs from it, print the same tables and write the same JSON (minus
-# host time). A torn cache file must be dropped, re-run and rewritten.
+# A cold sweep fills a fresh cache directory and, the grid listing every
+# spec once, hits nothing; a warm sweep must serve all $runs runs from it,
+# print the same tables and write the same JSON (minus host time). A torn
+# cache file must be dropped, re-run and rewritten.
 cache_dir="$(mktemp -d)"; cold_out="$(mktemp)"; warm_out="$(mktemp)"
 cold_json="$(mktemp)"; warm_json="$(mktemp)"
 cached_sweep() {
     cargo run --release -p vic-bench --bin sweep --offline -q -- \
         --quick --cache "$cache_dir" --json "$1" > "$2"
 }
-tables() { sed -n '/^Table 4/,/^cache:/p' "$1" | grep -v '^cache:'; }
+tables() { sed -n '/^Table 1/,/^cache:/p' "$1" | grep -v '^cache:'; }
 strip_all_wall() { sed 's/"wall_seconds":[0-9.e+-]*//g' "$1"; }
 cached_sweep "$cold_json" "$cold_out"
 cached_sweep "$warm_json" "$warm_out"
-grep -q '^cache: 23 hits, 0 misses' "$warm_out" \
-    || { echo "warm sweep did not hit the cache 23 times"; exit 1; }
+grep -q "^cache: 0 hits, $runs misses " "$cold_out" \
+    || { echo "cold sweep did not miss all $runs runs"; exit 1; }
+grep -q "^cache: $runs hits, 0 misses " "$warm_out" \
+    || { echo "warm sweep did not hit the cache $runs times"; exit 1; }
 [ "$(tables "$cold_out")" = "$(tables "$warm_out")" ] \
     || { echo "cached tables differ from the cold run's"; exit 1; }
 [ "$(strip_all_wall "$cold_json")" = "$(strip_all_wall "$warm_json")" ] \

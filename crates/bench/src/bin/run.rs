@@ -42,7 +42,6 @@ fn usage() -> String {
          \x20                               [--no-fast-paths] [--trace <file>]\n\
          \x20                               [--trace-summary] [--json <file>] [--inspect <file>]\n\
          \x20                               [--sample-every <n>] [--flight <file>]\n\
-         \x20                               [--stop-at <cycle>]\n\
          \x20                               [--checkpoint-at <cycle> --checkpoint <file>]\n\
          \x20      run --restore <file> [observer flags] [--checkpoint-at <cycle> --checkpoint <file>]\n\
          \n\
@@ -51,8 +50,6 @@ fn usage() -> String {
          \n\
          --no-fast-paths  disable the host-side fast paths (bulk runs, occupancy index,\n\
          \x20                translation micro-cache); simulated results must not change\n\
-         --stop-at <cycle> stop once the cycle counter reaches <cycle> and report the\n\
-         \x20                partial-run statistics (no checkpoint file)\n\
          --trace <file>   write every machine/OS/algorithm event as JSON lines\n\
          --trace-summary  print per-event-class cost histograms and the consistency audit\n\
          --json <file>    write the run's spec + full statistics as one JSON object\n\
@@ -90,7 +87,6 @@ fn main() {
         sample_every,
         flight,
         checkpoint,
-        stop_at,
     } = match cli::parse_run(&args) {
         Ok(cli) => cli,
         Err(e) => {
@@ -203,7 +199,7 @@ fn main() {
     // image contains exactly the work an uninterrupted run would have
     // done by that point.
     let step = spec.workload.build_step(spec.quick);
-    let pause_at = checkpoint.as_ref().map(|(at, _)| *at).or(stop_at);
+    let pause_at = checkpoint.as_ref().map(|(at, _)| *at);
     let t0 = std::time::Instant::now();
     let outcome = drive(&mut k, CpuId::BOOT, step.as_ref(), &mut cur, pause_at);
     let wall = t0.elapsed();
@@ -254,53 +250,39 @@ fn main() {
             std::process::exit(1);
         }
         Ok(DriveOutcome::Paused) => {
-            if let Some((at, file)) = checkpoint.as_ref() {
-                let mut w = WordWriter::new();
-                k.save_state(&mut w);
-                let state = w.into_words();
-                let mut w = WordWriter::new();
-                cur.save_state(&mut w);
-                let cp = SystemCheckpoint {
-                    spec,
-                    fast_paths,
-                    cycle: k.machine().cycles(),
-                    state,
-                    cursor: w.into_words(),
-                };
-                write_or_die("run", file, &(cp.to_json() + "\n"));
-                println!(
-                    "checkpoint: paused at cycle {} (requested {at}); system image written to \
-                     {file}",
-                    k.machine().cycles()
-                );
-                println!("            resume with: run --restore {file}");
-                return;
-            }
-            // --stop-at: report the partial run below, clearly marked.
-            let at = stop_at.expect("drive pauses only at a requested stop cycle");
+            let (at, file) = checkpoint
+                .as_ref()
+                .expect("drive pauses only at a requested checkpoint cycle");
+            let mut w = WordWriter::new();
+            k.save_state(&mut w);
+            let state = w.into_words();
+            let mut w = WordWriter::new();
+            cur.save_state(&mut w);
+            let cp = SystemCheckpoint {
+                spec,
+                fast_paths,
+                cycle: k.machine().cycles(),
+                state,
+                cursor: w.into_words(),
+            };
+            write_or_die("run", file, &(cp.to_json() + "\n"));
             println!(
-                "stopped:   at cycle {} (requested --stop-at {at}); statistics below cover \
-                 the partial run",
+                "checkpoint: paused at cycle {} (requested {at}); system image written to \
+                 {file}",
                 k.machine().cycles()
             );
-            println!();
+            println!("            resume with: run --restore {file}");
+            return;
         }
         Ok(DriveOutcome::Completed) => {
-            if let Some(at) = stop_at {
+            if let Some((at, file)) = &checkpoint {
                 println!(
-                    "note:      run completed at cycle {} before reaching --stop-at {at}",
+                    "checkpoint: run completed at cycle {} without pausing at --checkpoint-at \
+                     {at} (the last step crossed it); nothing written to {file}",
                     k.machine().cycles()
                 );
-                println!();
             }
         }
-    }
-    if let Some((at, file)) = &checkpoint {
-        println!(
-            "checkpoint: run completed at cycle {} without pausing at --checkpoint-at {at} \
-             (the last step crossed it); nothing written to {file}",
-            k.machine().cycles()
-        );
     }
 
     let s = vic_workloads::runner::collect(&k, step.name());

@@ -1,11 +1,14 @@
-//! Regenerate the full Table-4 and Table-5 grids **in parallel** and write
-//! the results as JSON.
+//! Regenerate every measured table of the paper — Table 1, Table 4 with
+//! the §5.1 summary and what-if, Table 5 and the §2.5 microbenchmark —
+//! from one **parallel** sweep, and write the results as JSON.
 //!
-//! The 23 runs (3 benchmarks × configurations A–F, plus afs-bench under
-//! the five Table-5 systems) are described as [`SystemSpec`] values and
-//! fanned across worker threads; because every run is a pure function of
-//! its spec, the printed tables are identical to the serial `table4` and
-//! `table5` binaries, only faster.
+//! The runs behind those tables (28 distinct specs at paper scale, 27
+//! with `--quick`) are described as [`SystemSpec`](vic_bench::SystemSpec)
+//! values, each listed once however many tables read it, and fanned
+//! across worker threads; every run is a pure function of its spec, so the
+//! printed tables do not depend on the thread count. Table 2 comes from
+//! the `table2` binary, which runs the model checker instead of the
+//! simulator.
 //!
 //! ```sh
 //! cargo run --release -p vic-bench --bin sweep
@@ -26,12 +29,10 @@
 
 use vic_bench::cache::ResultCache;
 use vic_bench::cli::{self, SweepCli};
-use vic_bench::experiments::{group_table4, render_table4_group};
+use vic_bench::experiments::{measured_specs, render_tables, Grid};
 use vic_bench::output::{metrics_json, parse_metrics_doc, sweep_json, RunMetric};
-use vic_bench::spec::SystemSpec;
-use vic_bench::sweep::{default_threads, run_observed_sweep_with_threads, Sweep};
+use vic_bench::sweep::{default_threads, run_sweep};
 use vic_metrics::ProgressReporter;
-use vic_workloads::report::{secs, Table};
 
 fn fail(msg: String) -> ! {
     eprintln!("sweep: {msg}");
@@ -76,19 +77,15 @@ fn main() {
         .transpose()
         .unwrap_or_else(|e| fail(e.to_string()));
 
-    let mut specs = SystemSpec::table4_grid(quick);
-    let table5_start = specs.len();
-    specs.extend(SystemSpec::table5_grid(quick));
+    let specs = measured_specs(quick);
 
     // The point of the sweep is parallelism: default to every hardware
     // thread, and to at least two even on a single-core host (the engine
     // is deterministic either way). An explicit --threads wins.
     let threads = threads.unwrap_or_else(|| default_threads().max(2));
     println!(
-        "sweep: {} runs ({} Table-4, {} Table-5) on {} threads{}\n",
+        "sweep: {} runs on {} threads{}\n",
         specs.len(),
-        table5_start,
-        specs.len() - table5_start,
         threads,
         if quick { " [quick]" } else { "" }
     );
@@ -98,68 +95,51 @@ fn main() {
     } else {
         ProgressReporter::stderr("sweep", specs.len() as u64)
     };
-    let obs = run_observed_sweep_with_threads(&specs, threads, &reporter, store.as_ref());
-    for (spec, msg) in &obs.failures {
+    let sweep = run_sweep(&specs, threads, &reporter, |spec, shard| match &store {
+        Some(cache) => cache.run(spec, shard),
+        None => spec.run(),
+    });
+    for (spec, msg) in &sweep.failures {
         eprintln!("sweep: run {} FAILED: {msg}", spec.label());
     }
-    for r in &obs.results {
+    for r in &sweep.results {
         assert_eq!(
-            r.stats.oracle_violations,
+            r.out.oracle_violations,
             0,
             "oracle violation under {}",
             r.spec.label()
         );
     }
 
-    // Positional split between the Table-4 and Table-5 halves (a spec may
-    // appear in both, so the split is by index, which is only meaningful
-    // when every run completed).
-    if obs.failures.is_empty() {
-        println!("Table 4 — benchmarks under configurations A-F (parallel regeneration)\n");
-        let t4 = &obs.results[..table5_start];
-        for (program, cells) in group_table4(t4.iter().map(|r| (r.spec, r.stats.clone()))) {
-            println!("{}", render_table4_group(&program, &cells));
-        }
-
-        println!("Table 5 — afs-bench under each system (parallel regeneration)\n");
-        let mut t = Table::new(["System", "Elapsed (s)", "Flushes", "Purges", "Cons faults"]);
-        for r in &obs.results[table5_start..] {
-            t.row([
-                r.spec.system.label(),
-                secs(r.stats.seconds),
-                r.stats.total_flushes().to_string(),
-                r.stats.total_purges().to_string(),
-                r.stats.os.consistency_faults.to_string(),
-            ]);
-        }
-        println!("{}", t.render());
+    if sweep.failures.is_empty() {
+        print!("{}", render_tables(&Grid::new(quick, &sweep.results)));
     } else {
         println!(
             "(tables skipped: {} of {} runs failed)\n",
-            obs.failures.len(),
+            sweep.failures.len(),
             specs.len()
         );
     }
 
-    let sweep = Sweep {
-        results: obs.results.clone(),
-        threads: obs.threads,
-        wall: obs.wall,
-    };
     if let Err(e) = cli::write_file(&json, &(sweep_json(&sweep) + "\n")) {
         fail(e.to_string());
     }
     if let Some(path) = &metrics {
-        let runs: Vec<RunMetric> = obs
+        let runs: Vec<RunMetric> = sweep
             .results
             .iter()
             .map(|r| RunMetric {
                 label: r.spec.label(),
-                sim_cycles: r.stats.cycles,
+                sim_cycles: r.out.cycles,
                 host_ns: r.wall.as_nanos() as u64,
             })
             .collect();
-        let doc = metrics_json(obs.threads, obs.wall.as_secs_f64(), &obs.metrics, &runs);
+        let doc = metrics_json(
+            sweep.threads,
+            sweep.wall.as_secs_f64(),
+            &sweep.metrics,
+            &runs,
+        );
         if let Err(e) = cli::write_file(path, &(doc + "\n")) {
             fail(e.to_string());
         }
@@ -168,24 +148,24 @@ fn main() {
     if let Some(dir) = &cache {
         println!(
             "cache: {} hits, {} misses in {dir}",
-            obs.metrics.counter("cache_hits"),
-            obs.metrics.counter("cache_misses")
+            sweep.metrics.counter("cache_hits"),
+            sweep.metrics.counter("cache_misses")
         );
-        let errors = obs.metrics.counter("cache_store_errors");
+        let errors = sweep.metrics.counter("cache_store_errors");
         if errors > 0 {
             eprintln!("sweep: warning: {errors} results could not be stored in {dir}");
         }
     }
-    let simulated: f64 = obs.results.iter().map(|r| r.stats.seconds).sum();
+    let simulated: f64 = sweep.results.iter().map(|r| r.out.seconds).sum();
     println!(
         "swept {} specs on {} threads in {:.2} s wall ({:.2} simulated-seconds); results: {}",
-        obs.results.len(),
-        obs.threads,
-        obs.wall.as_secs_f64(),
+        sweep.results.len(),
+        sweep.threads,
+        sweep.wall.as_secs_f64(),
         simulated,
         json
     );
-    if !obs.failures.is_empty() {
+    if !sweep.failures.is_empty() {
         std::process::exit(1);
     }
 }

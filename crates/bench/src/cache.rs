@@ -19,6 +19,7 @@
 
 use std::path::PathBuf;
 
+use vic_metrics::MetricsShard;
 use vic_workloads::RunStats;
 
 use crate::cli::CliError;
@@ -84,6 +85,22 @@ impl ResultCache {
             path: path.display().to_string(),
             err: e.to_string(),
         })
+    }
+
+    /// `spec`'s statistics: served from the cache when it holds them, else
+    /// run and stored. Counts `cache_hits`, `cache_misses` and
+    /// `cache_store_errors` in `shard`.
+    pub fn run(&self, spec: &SystemSpec, shard: &mut MetricsShard) -> RunStats {
+        if let Some(stats) = self.lookup(spec) {
+            shard.add("cache_hits", 1);
+            return stats;
+        }
+        shard.add("cache_misses", 1);
+        let stats = spec.run();
+        if self.store(spec, &stats).is_err() {
+            shard.add("cache_store_errors", 1);
+        }
+        stats
     }
 }
 

@@ -190,10 +190,6 @@ pub struct RunCli {
     /// and write a [`SystemCheckpoint`](crate::checkpoint::SystemCheckpoint)
     /// to the paired file (`--checkpoint-at <cycle> --checkpoint <file>`).
     pub checkpoint: Option<(u64, String)>,
-    /// Stop the run once the simulated cycle counter reaches this value
-    /// and report the partial-run statistics — no checkpoint file needed.
-    /// Mutually exclusive with `--checkpoint-at`.
-    pub stop_at: Option<u64>,
 }
 
 /// The default `--inspect` sampling interval in simulated cycles.
@@ -203,7 +199,7 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 10_000;
 /// `<workload> <system> [--quick] [--colored] [--write-through]
 /// [--fast-purge] [--no-fast-paths] [--trace <file>]
 /// [--trace-summary] [--json <file>] [--inspect <file>]
-/// [--sample-every <n>] [--flight <file>] [--stop-at <cycle>]
+/// [--sample-every <n>] [--flight <file>]
 /// [--checkpoint-at <cycle> --checkpoint <file>]`
 /// or `--restore <file>` in place of the spec arguments.
 ///
@@ -226,7 +222,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
     let mut checkpoint_at: Option<String> = None;
     let mut checkpoint: Option<String> = None;
     let mut restore: Option<String> = None;
-    let mut stop_at: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -244,7 +239,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
             "--checkpoint-at" => set_value(&mut checkpoint_at, "--checkpoint-at", it.next())?,
             "--checkpoint" => set_value(&mut checkpoint, "--checkpoint", it.next())?,
             "--restore" => set_value(&mut restore, "--restore", it.next())?,
-            "--stop-at" => set_value(&mut stop_at, "--stop-at", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => pos.push(s),
         }
@@ -285,17 +279,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
             ))
         }
     };
-    let stop_at = match stop_at {
-        None => None,
-        Some(at) => Some(at.parse::<u64>().map_err(|_| {
-            CliError::Conflicting(format!("--stop-at wants a cycle count, got '{at}'"))
-        })?),
-    };
-    if stop_at.is_some() && checkpoint.is_some() {
-        return Err(CliError::Conflicting(
-            "--stop-at and --checkpoint-at are mutually exclusive".to_string(),
-        ));
-    }
     if let Some(extra) = pos.get(2) {
         return Err(CliError::UnexpectedArg(extra.to_string()));
     }
@@ -329,7 +312,6 @@ pub fn parse_run(args: &[String]) -> Result<RunCli, CliError> {
         sample_every,
         flight,
         checkpoint,
-        stop_at,
     })
 }
 
@@ -640,23 +622,6 @@ fn parse_threads(t: Option<String>) -> Result<Option<usize>, CliError> {
             Ok(Some(n))
         }
     }
-}
-
-/// Parse the table binaries' arguments (`--quick` only).
-///
-/// # Errors
-///
-/// A [`CliError`] for anything other than an optional `--quick`.
-pub fn parse_quick_only(args: &[String]) -> Result<bool, CliError> {
-    let mut quick = false;
-    for a in args {
-        match a.as_str() {
-            "--quick" => quick = true,
-            s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
-            s => return Err(CliError::UnexpectedArg(s.to_string())),
-        }
-    }
-    Ok(quick)
 }
 
 fn set_value(
@@ -1058,16 +1023,6 @@ mod tests {
         assert!(matches!(
             parse_profile(&s(&["--check-baseline", "--threads", "0"])),
             Err(CliError::Conflicting(_))
-        ));
-    }
-
-    #[test]
-    fn quick_only_grammar() {
-        assert!(!parse_quick_only(&s(&[])).unwrap());
-        assert!(parse_quick_only(&s(&["--quick"])).unwrap());
-        assert!(matches!(
-            parse_quick_only(&s(&["--fast"])),
-            Err(CliError::UnknownFlag(_))
         ));
     }
 }

@@ -599,7 +599,7 @@ pub fn sweep_json(sweep: &Sweep) -> String {
                 sweep
                     .results
                     .iter()
-                    .map(|r| run_json(&r.spec, &r.stats, Some(r.wall.as_secs_f64()))),
+                    .map(|r| run_json(&r.spec, &r.out, Some(r.wall.as_secs_f64()))),
             ),
         )
         .finish()

@@ -3,9 +3,9 @@
 //!
 //! This is the library behind the `profile` binary. The measurement
 //! itself lives in `vic_profile` (the [`CostTree`] every profiled run
-//! produces) and the plumbing in [`crate::sweep`]
-//! ([`run_profiled_sweep_with_threads`]); this module turns trees into
-//! the three artifacts the tooling needs:
+//! produces) and the plumbing in [`crate::sweep`] ([`run_sweep`] over
+//! [`SystemSpec::run_profiled`]); this module turns trees into the three
+//! artifacts the tooling needs:
 //!
 //! * **reports** — Table-2/Table-3-style breakdowns of where a run's
 //!   cycles went, rendered through the same [`Table`] the experiment
@@ -21,12 +21,17 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use vic_metrics::ProgressReporter;
 use vic_profile::{CostTree, DocDiff, ProfileDoc, RunDiff};
 use vic_workloads::report::Table;
+use vic_workloads::RunStats;
 
 use crate::output;
 use crate::spec::SystemSpec;
-use crate::sweep::{run_profiled_sweep_with_threads, ProfiledSweep};
+use crate::sweep::{run_sweep, Sweep};
+
+/// A sweep whose every run carries its cost tree.
+pub type ProfiledSweep = Sweep<(RunStats, CostTree)>;
 
 /// The grid the committed baseline profiles: the quick Table-4 grid
 /// (3 benchmarks × configurations A–F) plus the quick Table-5 grid
@@ -41,19 +46,34 @@ pub fn baseline_specs() -> Vec<SystemSpec> {
     specs
 }
 
+/// Run `specs` profiled on `threads` workers.
+///
+/// # Panics
+///
+/// Panics if a workload fails or `threads` is zero.
+fn run_profiled(specs: &[SystemSpec], threads: usize) -> ProfiledSweep {
+    let sweep = run_sweep(specs, threads, &ProgressReporter::disabled(), |spec, _| {
+        spec.run_profiled()
+    });
+    if let Some((spec, msg)) = sweep.failures.first() {
+        panic!("profiled run {} failed: {msg}", spec.label());
+    }
+    sweep
+}
+
 /// Run the baseline grid profiled on `threads` workers.
 ///
 /// # Panics
 ///
 /// Panics if a workload fails or `threads` is zero.
 pub fn run_baseline(threads: usize) -> ProfiledSweep {
-    run_profiled_sweep_with_threads(&baseline_specs(), threads)
+    run_profiled(&baseline_specs(), threads)
 }
 
 /// A profiled sweep as a profile JSON document (the
 /// `BENCH_baseline.json` format).
 pub fn sweep_profile_json(sweep: &ProfiledSweep) -> String {
-    output::profile_json(sweep.results.iter().map(|r| (&r.spec, &r.tree)))
+    output::profile_json(sweep.results.iter().map(|r| (&r.spec, &r.out.1)))
 }
 
 /// Re-run the baseline grid and compare it against a baseline document.
@@ -253,13 +273,9 @@ mod tests {
             WorkloadKind::AliasUnaligned,
             SystemKind::Cmu(Configuration::A),
         )];
-        let sweep = run_profiled_sweep_with_threads(&specs, 1);
-        let text = sweep_profile_json(&sweep);
+        let text = sweep_profile_json(&run_profiled(&specs, 1));
         let doc = ProfileDoc::parse(&text).unwrap();
-        let again = ProfileDoc::parse(&sweep_profile_json(&run_profiled_sweep_with_threads(
-            &specs, 1,
-        )))
-        .unwrap();
+        let again = ProfileDoc::parse(&sweep_profile_json(&run_profiled(&specs, 1))).unwrap();
         let d = DocDiff::compare(&doc, &again);
         assert!(d.is_clean(0.0), "deterministic: zero tolerance holds");
         assert!(d.runs[0].rows.is_empty());

@@ -8,9 +8,9 @@
 //! the same spec construct bit-identical systems and therefore produce
 //! identical [`RunStats`].
 //!
-//! Every bench binary (`run`, `table1`, `table4`, `table5`, `microbench`,
-//! `sweep`) describes its runs as specs; the duplicated ad-hoc
-//! construction logic they used to carry lives here now.
+//! Every bench binary that runs the simulator (`run`, `sweep`, `profile`)
+//! describes its runs as specs; the duplicated ad-hoc construction logic
+//! they used to carry lives here now.
 
 use vic_machine::WritePolicy;
 use vic_os::{KernelConfig, SystemKind};
@@ -122,7 +122,7 @@ impl SystemSpec {
 
     /// The Table-4 grid: the three paper benchmarks across configurations
     /// A–F, benchmark-major (all six configs of one benchmark, then the
-    /// next) — the order the serial `table4` runs them in.
+    /// next) — the order Table 4 prints them in.
     pub fn table4_grid(quick: bool) -> Vec<SystemSpec> {
         let mut specs = Vec::new();
         for w in WorkloadKind::TABLE4 {

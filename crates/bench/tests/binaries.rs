@@ -100,7 +100,11 @@ fn sweep_honors_threads_flag_and_writes_json() {
         text.contains("on 3 threads"),
         "--threads must reach the engine:\n{text}"
     );
-    assert!(text.contains("swept 23 specs on 3 threads"), "{text}");
+    let n = swept_runs(&text);
+    assert!(
+        text.contains(&format!("swept {n} specs on 3 threads")),
+        "{text}"
+    );
     let doc = std::fs::read_to_string(&json).expect("sweep wrote its JSON file");
     let _ = std::fs::remove_file(&json);
     assert!(
@@ -110,7 +114,7 @@ fn sweep_honors_threads_flag_and_writes_json() {
         )),
         "JSON records the engine version and thread count"
     );
-    assert_eq!(doc.matches("\"oracle_violations\":0").count(), 23);
+    assert_eq!(doc.matches("\"oracle_violations\":0").count(), n);
 }
 
 #[test]
@@ -541,16 +545,47 @@ fn run_restore_rejects_bad_checkpoints_cleanly() {
     }
 }
 
-/// A sweep's stdout from the Table-4 heading up to the summary lines
-/// (`metrics:`, `cache:`, `swept`): everything that holds no host time.
+/// The run count `N` of a sweep's `sweep: N runs on T threads` header.
+fn swept_runs(stdout: &str) -> usize {
+    stdout
+        .strip_prefix("sweep: ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no sweep header in:\n{stdout}"))
+}
+
+/// A sweep's stdout without its header (the `sweep: N runs on T threads`
+/// line and the blank line after it) and its summary lines (`metrics:`,
+/// `cache:`, `swept`): the tables, which hold no host time.
 fn sweep_tables(stdout: &str) -> &str {
-    let start = stdout.find("Table 4").expect("tables printed");
+    let start = stdout.find("\n\n").expect("header printed") + 2;
     let end = ["\nmetrics: ", "\ncache: ", "\nswept "]
         .iter()
         .filter_map(|tail| stdout.find(tail))
         .min()
         .expect("summary printed");
-    &stdout[start..end]
+    &stdout[start..=end]
+}
+
+/// `sweep --quick` prints every measured table exactly as the retired
+/// `table1`, `table4`, `table5` and `microbench` binaries printed them
+/// with `--quick`, concatenated in that order (the fixture is their
+/// captured stdout).
+#[test]
+fn sweep_prints_the_golden_tables() {
+    let json = tmp_file("golden-sweep.json");
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_sweep"),
+        &["--quick", "--json", json.to_str().unwrap()],
+    );
+    let _ = std::fs::remove_file(&json);
+    assert!(out.status.success(), "sweep failed: {out:?}");
+    let text = stdout_of(&out);
+    assert_eq!(
+        sweep_tables(&text),
+        include_str!("tables_quick.txt"),
+        "sweep --quick tables drifted from the golden fixture:\n{text}"
+    );
 }
 
 /// The `(hits, misses)` of a sweep's `cache:` line.
@@ -568,6 +603,7 @@ fn cache_counts(stdout: &str) -> (u64, u64) {
 #[test]
 fn sweep_cache_hits_are_byte_identical_across_processes() {
     use std::collections::BTreeMap;
+    use vic_bench::experiments::measured_specs;
     use vic_bench::output::run_json;
     use vic_bench::SystemSpec;
 
@@ -603,12 +639,11 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     assert!(uncached.status.success(), "uncached sweep: {uncached:?}");
     let [cold, warm, uncached] = [&cold, &warm, &uncached].map(stdout_of);
 
-    // A fresh directory holds nothing: every distinct spec misses. Only
-    // the grid's one repeated spec (afs-bench under CMU/F, in both
-    // tables) may hit, on the copy its first run stored.
-    let (hits, misses) = cache_counts(&cold);
-    assert!(hits <= 1 && hits + misses == 23, "cold: {hits} hits");
-    assert_eq!(cache_counts(&warm), (23, 0), "a new process hits it all");
+    // A fresh directory holds nothing, and the grid lists every spec
+    // once, so every run misses.
+    let n = swept_runs(&cold) as u64;
+    assert_eq!(cache_counts(&cold), (0, n), "a cold cache hits nothing");
+    assert_eq!(cache_counts(&warm), (n, 0), "a new process hits it all");
     assert_eq!(sweep_tables(&warm), sweep_tables(&cold));
     assert_eq!(sweep_tables(&warm), sweep_tables(&uncached));
     let [a_doc, b_doc] = [&a, &b].map(|p| std::fs::read_to_string(p).unwrap());
@@ -617,17 +652,16 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     // Hits are completed runs in the telemetry, and are counted.
     let m = std::fs::read_to_string(&metrics).unwrap();
     for field in [
-        "\"runs_completed\":23",
-        "\"runs_failed\":0",
-        "\"cache_hits\":23",
+        format!("\"runs_completed\":{n},"),
+        "\"runs_failed\":0,".to_string(),
+        format!("\"cache_hits\":{n},"),
     ] {
-        assert!(m.contains(field), "missing {field} in {m}");
+        assert!(m.contains(&field), "missing {field} in {m}");
     }
 
     // Each file is named by the spec digest and holds exactly the
     // in-process run document.
-    let mut specs = SystemSpec::table4_grid(true);
-    specs.extend(SystemSpec::table5_grid(true));
+    let specs = measured_specs(true);
     let expected: BTreeMap<String, SystemSpec> = specs
         .iter()
         .map(|s| (format!("vic-{:016x}.json", s.digest()), *s))
@@ -646,8 +680,8 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     };
     check_files();
 
-    // Bad entries (none of them afs-bench/F, which the grid runs twice)
-    // are each deleted, re-run and rewritten; the sweep still exits 0.
+    // Bad entries are each deleted, re-run and rewritten; the sweep still
+    // exits 0.
     let file = |i: usize| dir.join(format!("vic-{:016x}.json", specs[i].digest()));
     let good = std::fs::read_to_string(file(6)).unwrap();
     std::fs::write(file(6), &good[..good.len() / 2]).unwrap();
@@ -662,7 +696,7 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     let out = run_bin(sweep, &["--quick", "--cache", d, "--json", b_s]);
     assert!(out.status.success(), "sweep over bad entries: {out:?}");
     let text = stdout_of(&out);
-    assert_eq!(cache_counts(&text), (19, 4), "{text}");
+    assert_eq!(cache_counts(&text), (n - 4, 4), "{text}");
     assert_eq!(sweep_tables(&text), sweep_tables(&cold));
     check_files();
 
@@ -720,15 +754,14 @@ fn sweep_metrics_exports_and_check_metrics_validates() {
         ],
     );
     assert!(out.status.success(), "sweep failed: {out:?}");
-    assert!(
-        stdout_of(&out).contains("fleet telemetry written to"),
-        "{}",
-        stdout_of(&out)
-    );
+    let text = stdout_of(&out);
+    assert!(text.contains("fleet telemetry written to"), "{text}");
+    let n = swept_runs(&text);
     let doc = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(doc.starts_with(&ver_prefix()), "{doc}");
-    assert!(doc.contains("\"runs_completed\":23"), "{doc}");
-    assert!(doc.contains("\"runs_failed\":0"), "{doc}");
+    let completed = format!("\"runs_completed\":{n},");
+    assert!(doc.contains(&completed), "{doc}");
+    assert!(doc.contains("\"runs_failed\":0,"), "{doc}");
 
     // The validation mode accepts its own output...
     let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
@@ -740,11 +773,8 @@ fn sweep_metrics_exports_and_check_metrics_validates() {
     );
 
     // ...and rejects tampered fleet totals with exit 2.
-    std::fs::write(
-        &metrics,
-        doc.replacen("\"runs_completed\":23", "\"runs_completed\":22", 1),
-    )
-    .unwrap();
+    let tampered = format!("\"runs_completed\":{},", n - 1);
+    std::fs::write(&metrics, doc.replacen(&completed, &tampered, 1)).unwrap();
     let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "tampered metrics must fail");
 

@@ -2,9 +2,7 @@
 //! Figure-1 `CacheControl` algorithm.
 
 use crate::cache_control::{cache_control, effective_prot, CcOp, ConsistencyHw};
-use crate::manager::{
-    AccessHints, CauseCounts, ConsistencyManager, DmaDir, Features, MgrStats, OpCause,
-};
+use crate::manager::{AccessHints, ConsistencyManager, DmaDir, Features, MgrStats, OpCause};
 use crate::page_state::PhysPageInfo;
 use crate::policy::PolicyConfig;
 use crate::serial::{SerialError, WordReader, WordWriter};
@@ -302,14 +300,6 @@ impl ConsistencyManager for CmuManager {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-}
-
-/// Expose cause-count views for reporting.
-impl CmuManager {
-    /// Data-cache purge counts by cause (for the Table 4 breakdown).
-    pub fn purge_causes(&self) -> &CauseCounts {
-        &self.stats.d_purge_pages
     }
 }
 

@@ -258,14 +258,6 @@ impl PhysPageInfo {
         }
     }
 
-    /// Mutable state for one cache kind.
-    pub fn side_mut(&mut self, kind: CacheKind) -> &mut CacheSideState {
-        match kind {
-            CacheKind::Data => &mut self.data,
-            CacheKind::Insn => &mut self.insn,
-        }
-    }
-
     /// Decode the Table 3 encoding: the consistency state of cache page `c`
     /// (of cache `kind`) with respect to this physical page.
     pub fn cache_page_state(&self, kind: CacheKind, c: CachePage) -> LineState {

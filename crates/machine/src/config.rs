@@ -170,14 +170,6 @@ impl MachineConfig {
         )
     }
 
-    /// Cache capacity in bytes for one cache kind.
-    pub fn cache_bytes(&self, kind: CacheKind) -> u64 {
-        match kind {
-            CacheKind::Data => self.dcache_bytes,
-            CacheKind::Insn => self.icache_bytes,
-        }
-    }
-
     /// Lines per page (= lines per cache page).
     pub fn lines_per_page(&self) -> u64 {
         self.page_size / self.line_size

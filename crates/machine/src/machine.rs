@@ -1102,12 +1102,6 @@ impl Machine {
         self.cpu.dcache.page_holds(cp, frame, self.cfg.page_size)
     }
 
-    /// Does instruction cache page `cp` currently hold any line of
-    /// `frame`?
-    pub fn icache_holds(&self, cp: CachePage, frame: PFrame) -> bool {
-        self.cpu.icache.page_holds(cp, frame, self.cfg.page_size)
-    }
-
     /// Read physical memory directly, bypassing the caches, **without**
     /// oracle checks or cycle charges. For assertions and debugging only —
     /// the values seen may legitimately be stale while dirty data sits in

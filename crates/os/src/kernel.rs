@@ -1504,15 +1504,6 @@ impl Kernel {
         self.fs.create()
     }
 
-    /// File length in pages.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::NoSuchFile`].
-    pub fn fs_len(&self, f: FileId) -> Result<u64, OsError> {
-        self.fs.len_pages(f)
-    }
-
     /// Read one file page into the task's memory at `dst_va` (via the Unix
     /// server and the buffer cache).
     ///

@@ -82,11 +82,6 @@ impl Pmap {
         self.mgr.name()
     }
 
-    /// The manager's feature matrix (Table 5).
-    pub fn manager_features(&self) -> vic_core::manager::Features {
-        self.mgr.features()
-    }
-
     /// The manager's flush/purge statistics.
     pub fn mgr_stats(&self) -> &MgrStats {
         self.mgr.stats()
@@ -216,11 +211,6 @@ impl Pmap {
     /// The frame a mapping names, if it is live.
     pub fn frame_of(&self, m: Mapping) -> Option<PFrame> {
         self.mappings.get(&m).map(|e| e.0)
-    }
-
-    /// The logical protection of a live mapping.
-    pub fn logical_of(&self, m: Mapping) -> Option<Prot> {
-        self.mappings.get(&m).map(|e| e.1)
     }
 
     /// Resolve a consistency fault (or run the post-mapping-fault access

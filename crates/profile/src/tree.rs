@@ -126,11 +126,6 @@ impl CostTree {
         self.nodes[node].cycles += cycles;
     }
 
-    /// Cycles charged directly at `node`.
-    pub fn self_cycles(&self, node: usize) -> u64 {
-        self.nodes[node].cycles
-    }
-
     /// Entries recorded at `node`.
     pub fn count(&self, node: usize) -> u64 {
         self.nodes[node].count

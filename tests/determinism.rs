@@ -14,8 +14,9 @@ use vic::metrics::{MetricsShard, ProgressReporter};
 use vic::os::{Kernel, KernelConfig, SystemKind};
 use vic::trace::{JsonLinesSink, RingBufferSink, Tracer};
 use vic::workloads::{run_observed, run_traced, RunStats, WorkloadKind};
+use vic_bench::experiments::measured_specs;
 use vic_bench::output::run_json;
-use vic_bench::sweep::{run_observed_sweep_with_threads, run_sweep_with_threads};
+use vic_bench::sweep::{run_sweep, Sweep};
 use vic_bench::SystemSpec;
 
 /// A small but non-trivial grid: two workload kinds, two configurations,
@@ -198,6 +199,13 @@ fn observability_changes_nothing_observable() {
     }
 }
 
+/// A plain sweep of `specs` on `threads` workers.
+fn sweep(specs: &[SystemSpec], threads: usize) -> Sweep {
+    run_sweep(specs, threads, &ProgressReporter::disabled(), |s, _| {
+        s.run()
+    })
+}
+
 /// The counters and gauges of a merged shard as an owned comparable
 /// value (histograms are compared separately so the host-time-dependent
 /// `host_ns_per_run` one can be excluded).
@@ -212,14 +220,14 @@ fn simulated_metrics(m: &MetricsShard) -> MetricsShard {
     sim
 }
 
-/// Per-worker shards merge commutatively, so the fleet telemetry of an
-/// observed sweep — every counter, gauge, and the simulated-cycle
+/// Per-worker shards merge commutatively, so the fleet telemetry of a
+/// sweep — every counter, gauge, and the simulated-cycle
 /// histogram — is identical whichever of 1/2/4/16 workers ran which
 /// spec. Only the host-nanosecond histogram may differ.
 #[test]
 fn observed_sweep_metrics_are_thread_count_independent() {
     let specs = small_grid();
-    let base = run_observed_sweep_with_threads(&specs, 1, &ProgressReporter::disabled(), None);
+    let base = sweep(&specs, 1);
     assert!(base.failures.is_empty());
     assert_eq!(
         base.metrics.counter("runs_completed"),
@@ -228,8 +236,7 @@ fn observed_sweep_metrics_are_thread_count_independent() {
     );
     let base_hist = base.metrics.histogram("sim_cycles_per_run").unwrap();
     for threads in [2, 4, 16] {
-        let obs =
-            run_observed_sweep_with_threads(&specs, threads, &ProgressReporter::disabled(), None);
+        let obs = sweep(&specs, threads);
         assert!(obs.failures.is_empty());
         assert_eq!(
             simulated_metrics(&obs.metrics),
@@ -244,8 +251,8 @@ fn observed_sweep_metrics_are_thread_count_independent() {
         for (a, b) in base.results.iter().zip(&obs.results) {
             assert_eq!(a.spec, b.spec, "order preserved at {threads} threads");
             assert_eq!(
-                a.stats,
-                b.stats,
+                a.out,
+                b.out,
                 "{} differs at {threads} threads",
                 a.spec.label()
             );
@@ -253,17 +260,22 @@ fn observed_sweep_metrics_are_thread_count_independent() {
     }
 }
 
+/// Every run the measured tables read — the quick Table-4 and Table-5
+/// grids and the rest of `sweep --quick` — comes back from a parallel
+/// sweep exactly as a serial loop over the same specs returns it, in spec
+/// order, at every thread count.
 #[test]
 fn parallel_sweep_equals_serial() {
-    let specs = small_grid();
+    let specs = measured_specs(true);
     let serial: Vec<RunStats> = specs.iter().map(|s| s.run()).collect();
     for threads in [1, 2, 4] {
-        let sweep = run_sweep_with_threads(&specs, threads);
+        let sweep = sweep(&specs, threads);
+        assert!(sweep.failures.is_empty());
         assert_eq!(sweep.results.len(), serial.len());
         for ((spec, serial_stats), res) in specs.iter().zip(&serial).zip(&sweep.results) {
             assert_eq!(res.spec, *spec, "order preserved at {threads} threads");
             assert_eq!(
-                res.stats,
+                res.out,
                 *serial_stats,
                 "{} differs between serial and {threads}-thread sweep",
                 spec.label()
