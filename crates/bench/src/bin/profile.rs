@@ -5,7 +5,8 @@
 //! # Where do afs-bench's cycles go under configuration F?
 //! cargo run --release -p vic-bench --bin profile -- afs-bench F --quick
 //!
-//! # The same breakdown as Markdown, plus the profile document for diffing.
+//! # The same breakdown as Markdown, plus the run document (with its
+//! # cost tree) for diffing.
 //! cargo run --release -p vic-bench --bin profile -- afs-bench F --markdown --json before.json
 //!
 //! # What moved between two profiles?
@@ -17,36 +18,37 @@
 //! ```
 
 use vic_bench::cli::{self, ProfileCli, ReportFormat, SYSTEM_NAMES, WORKLOAD_NAMES};
+use vic_bench::output::{self, Sections};
+use vic_bench::profile;
 use vic_bench::sweep::default_threads;
-use vic_bench::{output, profile};
-use vic_profile::{DocDiff, ProfileDoc};
+use vic_profile::{DocDiff, ProfileRun};
 
 fn usage() -> String {
     format!(
         "usage: profile <workload> <system> [--quick] [--colored] [--write-through] [--fast-purge]\n\
          \x20                                  [--csv|--markdown] [--json <file>]\n\
-         \x20      profile diff <base.json> <new.json> [--tolerance <pct>]\n\
+         \x20      profile diff <base.json> <new.json>\n\
          \x20      profile baseline [--json <file>] [--threads <n>]\n\
-         \x20      profile --check-baseline [<file>] [--tolerance <pct>] [--threads <n>]\n\
+         \x20      profile --check-baseline [<file>] [--threads <n>]\n\
          \n\
          workloads: {WORKLOAD_NAMES}\n\
          systems:   {SYSTEM_NAMES}\n\
          \n\
          The first form runs one profiled simulation and prints its cycle-cost\n\
-         breakdown; 'diff' compares two saved profiles; 'baseline' regenerates\n\
-         {baseline}; '--check-baseline' re-runs the baseline grid and fails\n\
-         (exit 1) on any run slower than the tolerance (default {tol}%).",
+         breakdown; 'diff' compares the cost trees of two saved run or sweep\n\
+         documents; 'baseline' regenerates {baseline}; '--check-baseline'\n\
+         re-runs the baseline grid and fails (exit 1) on any run that spends\n\
+         more cycles than the baseline or is missing from it.",
         baseline = cli::DEFAULT_BASELINE_FILE,
-        tol = cli::DEFAULT_TOLERANCE_PCT,
     )
 }
 
-fn read_doc(path: &str) -> ProfileDoc {
+fn read_runs(path: &str) -> Vec<ProfileRun> {
     let text = cli::read_file(path).unwrap_or_else(|e| {
         eprintln!("profile: {e}");
         std::process::exit(2);
     });
-    ProfileDoc::parse(&text).unwrap_or_else(|e| {
+    profile::profile_runs(&text).unwrap_or_else(|e| {
         eprintln!("profile: {path}: {e}");
         std::process::exit(2);
     })
@@ -79,7 +81,11 @@ fn main() {
             println!("{}", render(&profile::summary_table(&tree)));
             println!("{}", render(&profile::breakdown_table(&tree)));
             if let Some(path) = &json {
-                let doc = output::profile_json([(&spec, &tree)]);
+                let sections = Sections {
+                    cost_tree: Some(&tree),
+                    ..Sections::default()
+                };
+                let doc = output::run_doc(&spec, &stats, None, &sections);
                 if let Err(e) = cli::write_file(path, &(doc + "\n")) {
                     eprintln!("profile: {e}");
                     std::process::exit(2);
@@ -87,21 +93,17 @@ fn main() {
                 println!("json: written to {path}");
             }
         }
-        ProfileCli::Diff {
-            base,
-            new,
-            tolerance_pct,
-        } => {
-            let d = DocDiff::compare(&read_doc(&base), &read_doc(&new));
-            print!("{}", profile::render_diff(&d, tolerance_pct));
-            if !d.is_clean(tolerance_pct) {
+        ProfileCli::Diff { base, new } => {
+            let d = DocDiff::compare(&read_runs(&base), &read_runs(&new));
+            print!("{}", profile::render_diff(&d));
+            if !d.is_clean() {
                 std::process::exit(1);
             }
         }
         ProfileCli::Baseline { json, threads } => {
             let threads = threads.unwrap_or_else(default_threads);
             let sweep = profile::run_baseline(threads);
-            let doc = profile::sweep_profile_json(&sweep);
+            let doc = output::sweep_json(&sweep, false);
             if let Err(e) = cli::write_file(&json, &(doc + "\n")) {
                 eprintln!("profile: {e}");
                 std::process::exit(2);
@@ -113,11 +115,7 @@ fn main() {
                 sweep.wall.as_secs_f64()
             );
         }
-        ProfileCli::CheckBaseline {
-            json,
-            tolerance_pct,
-            threads,
-        } => {
+        ProfileCli::CheckBaseline { json, threads } => {
             let text = cli::read_file(&json).unwrap_or_else(|e| {
                 eprintln!("profile: {e}\n(run `profile baseline` to create it)");
                 std::process::exit(2);
@@ -127,8 +125,8 @@ fn main() {
                 eprintln!("profile: {json}: {e}");
                 std::process::exit(2);
             });
-            print!("{}", profile::render_diff(&d, tolerance_pct));
-            if d.is_clean(tolerance_pct) {
+            print!("{}", profile::render_diff(&d));
+            if d.is_clean() {
                 println!("baseline check: CLEAN against {json}");
             } else {
                 println!("baseline check: FAILED against {json}");

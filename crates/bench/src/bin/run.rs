@@ -23,10 +23,10 @@ use std::sync::{Arc, Mutex};
 
 use vic_bench::checkpoint::SystemCheckpoint;
 use vic_bench::cli::{self, RunCli, RunMode, SYSTEM_NAMES, WORKLOAD_NAMES};
-use vic_bench::output;
+use vic_bench::output::{self, Sections};
 use vic_core::serial::{WordReader, WordWriter};
 use vic_core::types::CpuId;
-use vic_metrics::{PostMortem, SeriesFormat};
+use vic_metrics::SeriesFormat;
 use vic_os::Kernel;
 use vic_trace::{
     ConsistencyAuditor, FanoutSink, HistogramSink, JsonLinesSink, RingBufferSink, Tracer,
@@ -52,12 +52,14 @@ fn usage() -> String {
          \x20                translation micro-cache); simulated results must not change\n\
          --trace <file>   write every machine/OS/algorithm event as JSON lines\n\
          --trace-summary  print per-event-class cost histograms and the consistency audit\n\
-         --json <file>    write the run's spec + full statistics as one JSON object\n\
+         --json <file>    write the run document: spec + full statistics as one JSON object\n\
          --inspect <file> sample cache/TLB occupancy during the run and write the time\n\
-         \x20                series (renderer by extension: .csv, .md, .json, else plain)\n\
+         \x20                series (by extension: .csv, .md, .json for the run document\n\
+         \x20                with a series section, else plain text)\n\
          --sample-every <n>  sampling interval in simulated cycles (default {default_every})\n\
          --flight <file>  arm the flight recorder: on an audit divergence or a workload\n\
-         \x20                error, dump the last {ring} events + a machine snapshot as JSON\n\
+         \x20                error, write the run document with the audit, the last {ring}\n\
+         \x20                events, a system snapshot and the error\n\
          --checkpoint-at <cycle> --checkpoint <file>\n\
          \x20                pause once the cycle counter reaches <cycle> and write the\n\
          \x20                complete system image (kernel + workload cursor) as JSON\n\
@@ -217,10 +219,12 @@ fn main() {
         .map(|s| s.into_series(step.name()));
     let result: Result<DriveOutcome, String> =
         outcome.map_err(|e| format!("workload {} failed: {e}", step.name()));
+    let s = vic_workloads::runner::collect(&k, step.name());
 
     // The flight recorder fires on a workload error or any audit
     // divergence — before the report, so a dump exists even if later
-    // output stages fail.
+    // output stages fail. The dump is the run document as far as the run
+    // got, with the audit, the event tail, the snapshot and the error.
     if let Some(path) = &flight {
         let a = auditor.lock().expect("auditor sink poisoned");
         let reason = match &result {
@@ -230,15 +234,16 @@ fn main() {
         };
         if let Some(reason) = reason {
             let r = ring.lock().expect("ring sink poisoned");
-            let pm = PostMortem::new(
-                &reason,
-                &r,
-                a.divergences(),
-                a.divergence_count(),
-                snapshot.clone(),
-            );
-            write_or_die("run", path, &(pm.to_json() + "\n"));
-            println!("flight:    post-mortem written to {path} ({reason})");
+            let sections = Sections {
+                snapshot: Some(&snapshot),
+                audit: Some(&a),
+                events: Some(&r),
+                error: Some(&reason),
+                ..Sections::default()
+            };
+            let doc = output::run_doc(&spec, &s, Some(wall.as_secs_f64()), &sections);
+            write_or_die("run", path, &(doc + "\n"));
+            println!("flight:    run document written to {path} ({reason})");
         }
     }
 
@@ -285,7 +290,6 @@ fn main() {
         }
     }
 
-    let s = vic_workloads::runner::collect(&k, step.name());
     println!("workload:  {}", s.workload);
     println!("system:    {}", s.system);
     println!(
@@ -374,8 +378,16 @@ fn main() {
     }
     if let Some(path) = &inspect {
         let series = series.as_ref().expect("--inspect arms the sampler");
-        let format = SeriesFormat::from_path(path);
-        write_or_die("run", path, &series.render(format));
+        let text = if path.to_ascii_lowercase().ends_with(".json") {
+            let sections = Sections {
+                series: Some(series),
+                ..Sections::default()
+            };
+            output::run_doc(&spec, &s, Some(wall.as_secs_f64()), &sections) + "\n"
+        } else {
+            series.render(SeriesFormat::from_path(path))
+        };
+        write_or_die("run", path, &text);
         println!(
             "inspect:   {} samples (every {} cycles) written to {path}",
             series.samples.len(),

@@ -1,6 +1,6 @@
 //! Regenerate every measured table of the paper — Table 1, Table 4 with
 //! the §5.1 summary and what-if, Table 5 and the §2.5 microbenchmark —
-//! from one **parallel** sweep, and write the results as JSON.
+//! from one **parallel** sweep, and write the results as a sweep document.
 //!
 //! The runs behind those tables (28 distinct specs at paper scale, 27
 //! with `--quick`) are described as [`SystemSpec`](vic_bench::SystemSpec)
@@ -13,16 +13,16 @@
 //! ```sh
 //! cargo run --release -p vic-bench --bin sweep
 //! cargo run --release -p vic-bench --bin sweep -- --quick --threads 4 --json results.json
-//! cargo run --release -p vic-bench --bin sweep -- --quick --progress --metrics fleet.json
-//! cargo run --release -p vic-bench --bin sweep -- --check-metrics fleet.json
+//! cargo run --release -p vic-bench --bin sweep -- --quick --progress
 //! cargo run --release -p vic-bench --bin sweep -- --quick --cache results/
 //! ```
 //!
-//! With `--metrics <file>` the sweep also exports fleet telemetry — runs
-//! completed/failed, simulated cycles retired, host-ns-per-run histograms
-//! — as one versioned JSON document whose totals `--check-metrics`
-//! cross-validates against the per-run list. `--progress` forces a live
-//! progress/ETA line on stderr (on by default when stderr is a terminal).
+//! The sweep document (`--json`, default `BENCH_sweep.json`) lists every
+//! completed run as a run document with its wall time, and every failed
+//! spec with its panic message, so fleet totals — runs completed and
+//! failed, cycles retired, host time per run — are read off it.
+//! `--progress` forces a live progress/ETA line on stderr (on by default
+//! when stderr is a terminal).
 //! `--cache <dir>` reuses the results stored in `dir` and stores every
 //! spec it runs (see `vic_bench::cache` for the key and the validation);
 //! the printed tables and JSON are the same as without it.
@@ -30,7 +30,7 @@
 use vic_bench::cache::ResultCache;
 use vic_bench::cli::{self, SweepCli};
 use vic_bench::experiments::{measured_specs, render_tables, Grid};
-use vic_bench::output::{metrics_json, parse_metrics_doc, sweep_json, RunMetric};
+use vic_bench::output::sweep_json;
 use vic_bench::sweep::{default_threads, run_sweep};
 use vic_metrics::ProgressReporter;
 
@@ -45,31 +45,14 @@ fn main() {
         quick,
         threads,
         json,
-        metrics,
         progress,
-        check_metrics,
         cache,
     } = cli::parse_sweep(&args).unwrap_or_else(|e| {
         eprintln!(
-            "sweep: {e}\nusage: sweep [--quick] [--threads <n>] [--json <file>] [--metrics <file>] [--progress] [--cache <dir>]\n       sweep --check-metrics <file>"
+            "sweep: {e}\nusage: sweep [--quick] [--threads <n>] [--json <file>] [--progress] [--cache <dir>]"
         );
         std::process::exit(2);
     });
-
-    // Standalone validation mode: parse, cross-check, report, exit.
-    if let Some(path) = check_metrics {
-        let text = cli::read_file(&path).unwrap_or_else(|e| fail(e.to_string()));
-        match parse_metrics_doc(&text) {
-            Ok(doc) => {
-                println!(
-                    "{path}: metrics-valid — {} runs completed ({} failed) on {} threads, {} sim-cycles, fleet totals match the run list",
-                    doc.runs_completed, doc.runs_failed, doc.threads, doc.sim_cycles
-                );
-            }
-            Err(e) => fail(format!("{path}: {e}")),
-        }
-        return;
-    }
 
     let store = cache
         .as_deref()
@@ -95,8 +78,8 @@ fn main() {
     } else {
         ProgressReporter::stderr("sweep", specs.len() as u64)
     };
-    let sweep = run_sweep(&specs, threads, &reporter, |spec, shard| match &store {
-        Some(cache) => cache.run(spec, shard),
+    let sweep = run_sweep(&specs, threads, &reporter, |spec| match &store {
+        Some(cache) => cache.run(spec),
         None => spec.run(),
     });
     for (spec, msg) in &sweep.failures {
@@ -121,37 +104,16 @@ fn main() {
         );
     }
 
-    if let Err(e) = cli::write_file(&json, &(sweep_json(&sweep) + "\n")) {
+    if let Err(e) = cli::write_file(&json, &(sweep_json(&sweep, true) + "\n")) {
         fail(e.to_string());
     }
-    if let Some(path) = &metrics {
-        let runs: Vec<RunMetric> = sweep
-            .results
-            .iter()
-            .map(|r| RunMetric {
-                label: r.spec.label(),
-                sim_cycles: r.out.cycles,
-                host_ns: r.wall.as_nanos() as u64,
-            })
-            .collect();
-        let doc = metrics_json(
-            sweep.threads,
-            sweep.wall.as_secs_f64(),
-            &sweep.metrics,
-            &runs,
-        );
-        if let Err(e) = cli::write_file(path, &(doc + "\n")) {
-            fail(e.to_string());
-        }
-        println!("metrics: fleet telemetry written to {path}");
-    }
-    if let Some(dir) = &cache {
+    if let (Some(dir), Some(store)) = (&cache, &store) {
         println!(
             "cache: {} hits, {} misses in {dir}",
-            sweep.metrics.counter("cache_hits"),
-            sweep.metrics.counter("cache_misses")
+            store.hits(),
+            store.misses()
         );
-        let errors = sweep.metrics.counter("cache_store_errors");
+        let errors = store.store_errors();
         if errors > 0 {
             eprintln!("sweep: warning: {errors} results could not be stored in {dir}");
         }

@@ -18,18 +18,22 @@
 //! that does not bump it, cached results are stale: use a fresh directory.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use vic_metrics::MetricsShard;
 use vic_workloads::RunStats;
 
 use crate::cli::CliError;
 use crate::output::{run_from_json, run_json};
 use crate::spec::SystemSpec;
 
-/// A directory of cached run documents.
+/// A directory of cached run documents, with counts of how the lookups
+/// went (shared by every sweep worker).
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    store_errors: AtomicU64,
 }
 
 impl ResultCache {
@@ -50,6 +54,9 @@ impl ResultCache {
         std::fs::remove_file(&probe).map_err(io_err)?;
         Ok(ResultCache {
             dir: PathBuf::from(dir),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            store_errors: AtomicU64::new(0),
         })
     }
 
@@ -88,19 +95,34 @@ impl ResultCache {
     }
 
     /// `spec`'s statistics: served from the cache when it holds them, else
-    /// run and stored. Counts `cache_hits`, `cache_misses` and
-    /// `cache_store_errors` in `shard`.
-    pub fn run(&self, spec: &SystemSpec, shard: &mut MetricsShard) -> RunStats {
+    /// run and stored. Counted as a hit, a miss, and on a failed store
+    /// also a store error.
+    pub fn run(&self, spec: &SystemSpec) -> RunStats {
         if let Some(stats) = self.lookup(spec) {
-            shard.add("cache_hits", 1);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return stats;
         }
-        shard.add("cache_misses", 1);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let stats = spec.run();
         if self.store(spec, &stats).is_err() {
-            shard.add("cache_store_errors", 1);
+            self.store_errors.fetch_add(1, Ordering::Relaxed);
         }
         stats
+    }
+
+    /// Specs [`ResultCache::run`] served from the cache.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Specs [`ResultCache::run`] had to run.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Results [`ResultCache::run`] could not store.
+    pub fn store_errors(&self) -> u64 {
+        self.store_errors.load(Ordering::Relaxed)
     }
 }
 

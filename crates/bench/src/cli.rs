@@ -184,7 +184,8 @@ pub struct RunCli {
     /// [`DEFAULT_SAMPLE_EVERY`] when `--inspect` is given).
     pub sample_every: Option<u64>,
     /// Arm the flight recorder: on an audit divergence or workload error,
-    /// dump the last events + a machine snapshot to this file as JSON.
+    /// write the run document with the audit, the last events, a system
+    /// snapshot and the error to this file.
     pub flight: Option<String>,
     /// Pause the run once the simulated cycle counter reaches this value
     /// and write a [`SystemCheckpoint`](crate::checkpoint::SystemCheckpoint)
@@ -322,25 +323,18 @@ pub struct SweepCli {
     pub quick: bool,
     /// Worker thread count override (default: `available_parallelism()`).
     pub threads: Option<usize>,
-    /// JSON results file (default `BENCH_sweep.json`).
+    /// Sweep-document file (default `BENCH_sweep.json`).
     pub json: String,
-    /// Also write fleet telemetry (per-run timings, shard counters) as a
-    /// versioned metrics JSON document to this file.
-    pub metrics: Option<String>,
     /// Print a live progress/ETA line to stderr even when stderr is not a
     /// terminal (when it is a terminal, progress is on by default).
     pub progress: bool,
-    /// Validation mode: parse an existing metrics file, check its schema
-    /// and that fleet totals equal the per-run sums, and exit.
-    pub check_metrics: Option<String>,
     /// Result-cache directory: reuse the results stored there and store
     /// every spec run (see [`crate::cache`]).
     pub cache: Option<String>,
 }
 
 /// Parse the `sweep` binary's arguments:
-/// `[--quick] [--threads <n>] [--json <file>] [--metrics <file>]
-/// [--progress] [--cache <dir>]` or `--check-metrics <file>`.
+/// `[--quick] [--threads <n>] [--json <file>] [--progress] [--cache <dir>]`.
 ///
 /// # Errors
 ///
@@ -350,8 +344,6 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepCli, CliError> {
     let mut progress = false;
     let mut threads: Option<String> = None;
     let mut json: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut check_metrics: Option<String> = None;
     let mut cache: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -360,33 +352,16 @@ pub fn parse_sweep(args: &[String]) -> Result<SweepCli, CliError> {
             "--progress" => progress = true,
             "--threads" => set_value(&mut threads, "--threads", it.next())?,
             "--json" => set_value(&mut json, "--json", it.next())?,
-            "--metrics" => set_value(&mut metrics, "--metrics", it.next())?,
-            "--check-metrics" => set_value(&mut check_metrics, "--check-metrics", it.next())?,
             "--cache" => set_value(&mut cache, "--cache", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => return Err(CliError::UnexpectedArg(s.to_string())),
         }
     }
-    if check_metrics.is_some()
-        && (quick
-            || progress
-            || threads.is_some()
-            || json.is_some()
-            || metrics.is_some()
-            || cache.is_some())
-    {
-        return Err(CliError::Conflicting(
-            "--check-metrics takes no sweep flags".to_string(),
-        ));
-    }
-    let threads = parse_threads(threads)?;
     Ok(SweepCli {
         quick,
-        threads,
+        threads: parse_threads(threads)?,
         json: json.unwrap_or_else(|| "BENCH_sweep.json".to_string()),
-        metrics,
         progress,
-        check_metrics,
         cache,
     })
 }
@@ -411,17 +386,15 @@ pub enum ProfileCli {
         spec: SystemSpec,
         /// Table rendering.
         format: ReportFormat,
-        /// Also write the profile document to this file.
+        /// Also write the run document with its `cost_tree` to this file.
         json: Option<String>,
     },
-    /// Compare two profile documents.
+    /// Compare the cost trees of two run or sweep documents.
     Diff {
         /// The base (older) document path.
         base: String,
         /// The new document path.
         new: String,
-        /// Regression tolerance in percent.
-        tolerance_pct: f64,
     },
     /// Regenerate the committed baseline document.
     Baseline {
@@ -434,8 +407,6 @@ pub enum ProfileCli {
     CheckBaseline {
         /// Baseline file to compare against.
         json: String,
-        /// Regression tolerance in percent.
-        tolerance_pct: f64,
         /// Worker thread count override.
         threads: Option<usize>,
     },
@@ -445,9 +416,9 @@ pub enum ProfileCli {
 ///
 /// * `<workload> <system> [--quick] [--colored] [--write-through]
 ///   [--fast-purge] [--csv|--markdown] [--json <file>]`
-/// * `diff <base.json> <new.json> [--tolerance <pct>]`
+/// * `diff <base.json> <new.json>`
 /// * `baseline [--json <file>] [--threads <n>]`
-/// * `--check-baseline [<file>] [--tolerance <pct>] [--threads <n>]`
+/// * `--check-baseline [<file>] [--threads <n>]`
 ///
 /// # Errors
 ///
@@ -516,11 +487,8 @@ fn parse_profile_report(args: &[String]) -> Result<ProfileCli, CliError> {
 
 fn parse_profile_diff(args: &[String]) -> Result<ProfileCli, CliError> {
     let mut pos: Vec<&str> = Vec::new();
-    let mut tolerance: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
-            "--tolerance" => set_value(&mut tolerance, "--tolerance", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => pos.push(s),
         }
@@ -533,7 +501,6 @@ fn parse_profile_diff(args: &[String]) -> Result<ProfileCli, CliError> {
     Ok(ProfileCli::Diff {
         base: base.to_string(),
         new: new.to_string(),
-        tolerance_pct: parse_tolerance(tolerance)?,
     })
 }
 
@@ -557,13 +524,11 @@ fn parse_profile_baseline(args: &[String]) -> Result<ProfileCli, CliError> {
 
 fn parse_profile_check(args: &[String]) -> Result<ProfileCli, CliError> {
     let mut pos: Vec<&str> = Vec::new();
-    let mut tolerance: Option<String> = None;
     let mut threads: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--check-baseline" => {}
-            "--tolerance" => set_value(&mut tolerance, "--tolerance", it.next())?,
             "--threads" => set_value(&mut threads, "--threads", it.next())?,
             s if s.starts_with("--") => return Err(CliError::UnknownFlag(s.to_string())),
             s => pos.push(s),
@@ -576,36 +541,12 @@ fn parse_profile_check(args: &[String]) -> Result<ProfileCli, CliError> {
         json: pos
             .first()
             .map_or_else(|| DEFAULT_BASELINE_FILE.to_string(), |s| s.to_string()),
-        tolerance_pct: parse_tolerance(tolerance)?,
         threads: parse_threads(threads)?,
     })
 }
 
 /// The committed perf-regression baseline file.
 pub const DEFAULT_BASELINE_FILE: &str = "BENCH_baseline.json";
-
-/// The default regression tolerance, in percent. The simulator is
-/// deterministic, so any drift is a real change; 5% leaves headroom for
-/// intentional cost-model adjustments without a baseline refresh.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 5.0;
-
-fn parse_tolerance(t: Option<String>) -> Result<f64, CliError> {
-    match t {
-        None => Ok(DEFAULT_TOLERANCE_PCT),
-        Some(t) => {
-            let v = t.parse::<f64>().map_err(|_| {
-                CliError::Conflicting(format!("--tolerance wants a percentage, got '{t}'"))
-            })?;
-            if v.is_finite() && v >= 0.0 {
-                Ok(v)
-            } else {
-                Err(CliError::Conflicting(format!(
-                    "--tolerance must be a finite non-negative percentage, got '{t}'"
-                )))
-            }
-        }
-    }
-}
 
 fn parse_threads(t: Option<String>) -> Result<Option<usize>, CliError> {
     match t {
@@ -854,6 +795,15 @@ mod tests {
         assert!(cli.quick);
         assert_eq!(cli.threads, Some(4));
         assert_eq!(cli.json, "BENCH_sweep.json");
+        assert!(!cli.progress);
+        assert!(parse_sweep(&s(&["--progress"])).unwrap().progress);
+        // No fleet-metrics flags: the sweep document holds every total.
+        for flag in ["--metrics", "--check-metrics"] {
+            assert_eq!(
+                parse_sweep(&s(&[flag, "m.json"])),
+                Err(CliError::UnknownFlag(flag.to_string()))
+            );
+        }
         assert!(matches!(
             parse_sweep(&s(&["--threads", "zero"])),
             Err(CliError::Conflicting(_))
@@ -869,24 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_metrics_grammar() {
-        let cli = parse_sweep(&s(&["--quick", "--metrics", "m.json", "--progress"])).unwrap();
-        assert_eq!(cli.metrics.as_deref(), Some("m.json"));
-        assert!(cli.progress);
-        assert!(cli.check_metrics.is_none());
-        let cli = parse_sweep(&s(&["--check-metrics", "m.json"])).unwrap();
-        assert_eq!(cli.check_metrics.as_deref(), Some("m.json"));
-        assert!(matches!(
-            parse_sweep(&s(&["--check-metrics", "m.json", "--quick"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sweep(&s(&["--check-metrics", "m.json", "--progress"])),
-            Err(CliError::Conflicting(_))
-        ));
-    }
-
-    #[test]
     fn sweep_cache_grammar() {
         assert_eq!(parse_sweep(&s(&["--quick"])).unwrap().cache, None);
         let cli = parse_sweep(&s(&["--cache", "d", "--quick"])).unwrap();
@@ -897,10 +829,6 @@ mod tests {
         ));
         assert!(matches!(
             parse_sweep(&s(&["--cache", "a", "--cache", "b"])),
-            Err(CliError::Conflicting(_))
-        ));
-        assert!(matches!(
-            parse_sweep(&s(&["--check-metrics", "m.json", "--cache", "d"])),
             Err(CliError::Conflicting(_))
         ));
     }
@@ -941,23 +869,23 @@ mod tests {
 
     #[test]
     fn profile_diff_grammar() {
-        let cli = parse_profile(&s(&["diff", "a.json", "b.json", "--tolerance", "2.5"])).unwrap();
+        let cli = parse_profile(&s(&["diff", "a.json", "b.json"])).unwrap();
         assert_eq!(
             cli,
             ProfileCli::Diff {
                 base: "a.json".to_string(),
                 new: "b.json".to_string(),
-                tolerance_pct: 2.5,
             }
         );
         assert_eq!(
             parse_profile(&s(&["diff", "a.json"])),
             Err(CliError::MissingArg("new.json"))
         );
-        assert!(matches!(
-            parse_profile(&s(&["diff", "a", "b", "--tolerance", "-1"])),
-            Err(CliError::Conflicting(_))
-        ));
+        // The gate is exact: there is no tolerance to set.
+        assert_eq!(
+            parse_profile(&s(&["diff", "a", "b", "--tolerance", "5"])),
+            Err(CliError::UnknownFlag("--tolerance".to_string()))
+        );
         assert!(matches!(
             parse_profile(&s(&["diff", "a", "b", "c"])),
             Err(CliError::UnexpectedArg(_))
@@ -995,26 +923,20 @@ mod tests {
             cli,
             ProfileCli::CheckBaseline {
                 json: DEFAULT_BASELINE_FILE.to_string(),
-                tolerance_pct: DEFAULT_TOLERANCE_PCT,
                 threads: None,
             }
         );
-        let cli = parse_profile(&s(&[
-            "--check-baseline",
-            "other.json",
-            "--tolerance",
-            "0",
-            "--threads",
-            "3",
-        ]))
-        .unwrap();
+        let cli = parse_profile(&s(&["--check-baseline", "other.json", "--threads", "3"])).unwrap();
         assert_eq!(
             cli,
             ProfileCli::CheckBaseline {
                 json: "other.json".to_string(),
-                tolerance_pct: 0.0,
                 threads: Some(3),
             }
+        );
+        assert_eq!(
+            parse_profile(&s(&["--check-baseline", "--tolerance", "0"])),
+            Err(CliError::UnknownFlag("--tolerance".to_string()))
         );
         assert!(matches!(
             parse_profile(&s(&["--check-baseline", "a", "b"])),

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | Table 2 + Table 3 + Figure 1 checks | `table2` | [`experiments::table2_report`] |
 //! | Tables 1, 4 (with §5.1) and 5, §2.5 microbenchmark | `sweep` | [`experiments::measured_specs`], [`experiments::render_tables`] |
-//! | parallel runs, JSON results | `sweep` | [`sweep::run_sweep`] |
+//! | parallel runs, the sweep document | `sweep` | [`sweep::run_sweep`], [`output::sweep_json`] |
 //! | on-disk result cache (`sweep --cache`) | `sweep` | [`cache::ResultCache`] |
 //! | cycle-cost attribution, diffs, perf baseline | `profile` | [`profile`] |
 //!
@@ -17,7 +17,10 @@
 //! `available_parallelism()` worker threads with results identical to a
 //! serial loop (asserted in `tests/determinism.rs`). The [`cli`] module
 //! gives every binary the same argument grammar and the [`output`] module
-//! one JSON schema for single runs and sweeps.
+//! one result schema, the run document with optional sections, plus its
+//! one writer and one reader: every JSON file `run`, `sweep` and
+//! `profile` write is a run document or a sweep document of them (apart
+//! from `--trace` lines and checkpoints).
 //!
 //! Host time is measured from outside the program by the repository
 //! benchmark (`examples/benchmark`): end to end, per layer, and per
@@ -41,6 +44,5 @@ pub mod sweep;
 pub use checkpoint::SystemCheckpoint;
 pub use digest::spec_from_json;
 pub use experiments::table2_report;
-pub use output::{metrics_json, parse_metrics_doc, MetricsDoc, RunMetric};
 pub use spec::SystemSpec;
 pub use sweep::{run_sweep, Sweep, SweepResult};

@@ -1,50 +1,73 @@
-//! JSON emission for runs and sweeps — one schema for both, so a single
-//! `run --json` and a full `sweep` grid are directly comparable when
-//! tracking the perf trajectory over time.
+//! The run document — the one result schema of `run`, `sweep` and
+//! `profile` — with its one writer and its one reader.
 //!
-//! The crates are dependency-free, so this is a small hand-rolled builder
-//! rather than a serialization framework. All output is deterministic:
-//! fields in fixed order, integers as integers, and the only floats are
-//! quantities derived from cycle counts (seconds) or host timing (wall).
-//!
-//! Schema of one run object (also the `--json` output of the `run`
-//! binary); `V` stands for [`vic_core::ENGINE_VERSION`]:
+//! The crates are dependency-free, so the writer is a small hand-rolled
+//! builder ([`JsonObj`]) and the reader sits on `vic_profile::parse_json`.
+//! Output is deterministic: fields in fixed order, integers as integers,
+//! and the only floats are derived from cycle counts (seconds) or host
+//! timing (wall). A run document (`run --json`), with `V` for
+//! [`vic_core::ENGINE_VERSION`]:
 //!
 //! ```json
 //! {
 //!   "engine_version": V,
 //!   "spec": {"workload": "...", "system": "F", "quick": false, ...},
+//!   "workload": "...",
+//!   "system": "...",
 //!   "elapsed_cycles": 123,
 //!   "elapsed_seconds": 0.5,
 //!   "wall_seconds": 0.01,          // only when host timing was taken
 //!   "machine": { ...counters, flush/purge with cycle totals... },
 //!   "mgr": {"d_flush_pages": {"total": n, "by_cause": {...}}, ...},
 //!   "os": { ...counters... },
-//!   "oracle_violations": 0
+//!   "oracle_violations": 0,
+//!   // optional sections (Sections), in this order:
+//!   "cost_tree": [{"path": "os:fault.mapping/machine:software", "count": 10, "cycles": 3500}, ...],
+//!   "snapshot": {"machine": {"cycles": n, "dcache": {...}, "icache": {...}, "tlb": {...}},
+//!                "frames_tracked": n, "d_states": {...}, "i_states": {...}},
+//!   "series": {"label": "...", "every": n, "samples": [{"cycles": n, "dcache": {...}, ...}, ...]},
+//!   "audit": {"events_seen": n, "transitions_checked": n, "divergence_count": n,
+//!             "divergences": ["..."]},
+//!   "events": [{"cycle": n, "layer": "...", "ev": "...", ...}, ...],
+//!   "error": "..."
 //! }
 //! ```
 //!
-//! A sweep file wraps the runs:
-//! `{"engine_version": V, "threads": n, "wall_seconds": t, "runs": [...]}`.
+//! [`run_json`] writes the plain document; [`run_doc`] appends the
+//! sections. `profile --json` adds `cost_tree`, whose rows sum to
+//! `elapsed_cycles`; `run --inspect <file>.json` adds `series`; and the
+//! flight recorder (`run --flight`) adds `snapshot`, `audit`, `events` (the
+//! last trace events, in the `--trace` line format) and `error` (why the
+//! dump was taken).
 //!
-//! Every versioned document this module emits carries the single
-//! [`vic_core::ENGINE_VERSION`] stamp.
+//! A sweep document ([`sweep_json`]) wraps run documents:
+//! `{"engine_version": V, "threads": n, "wall_seconds": t, "runs": [...],
+//! "failures": [{"spec": {...}, "error": "..."}]}`. `sweep --json` writes
+//! it; `profile baseline` writes it with a `cost_tree` in every run and
+//! without the host-time fields (`threads` and every `wall_seconds`), so
+//! `BENCH_baseline.json` is byte-identical at any thread count.
+//!
+//! [`read_doc`] reads either kind back (and [`run_from_json`] one run
+//! document) for `sweep --cache`, `profile diff` and
+//! `profile --check-baseline`. Checkpoints ([`crate::checkpoint`]) and
+//! `--trace` lines are not results and keep their own formats.
 
 use std::fmt::Write as _;
 
 use vic_core::manager::{CauseCounts, MgrStats, OpCause};
+use vic_core::types::CacheKind;
 use vic_core::ENGINE_VERSION;
 use vic_machine::{MachineStats, OpStat};
-use vic_metrics::MetricsShard;
+use vic_metrics::{CacheSnapshot, MachineSnapshot, PageStateCounts, SystemSnapshot, TimeSeries};
 use vic_os::OsStats;
-use vic_profile::{parse_json, JsonValue};
-use vic_trace::Histogram;
+use vic_profile::{parse_json, CostTree, FlatRow, JsonValue};
+use vic_trace::{ConsistencyAuditor, RingBufferSink};
 use vic_workloads::RunStats;
 
 use crate::cli::system_cli_name;
 use crate::digest::spec_from_json;
 use crate::spec::SystemSpec;
-use crate::sweep::Sweep;
+use crate::sweep::{Outcome, Sweep};
 
 /// An object under construction. Values are appended in call order; the
 /// caller is responsible for key uniqueness.
@@ -112,6 +135,14 @@ impl JsonObj {
         self
     }
 
+    /// [`JsonObj::raw`] when there is a value, else nothing.
+    fn opt_raw(self, k: &str, v: Option<String>) -> Self {
+        match v {
+            Some(v) => self.raw(k, &v),
+            None => self,
+        }
+    }
+
     /// Close the object and return the JSON text.
     pub fn finish(mut self) -> String {
         self.buf.push('}');
@@ -154,6 +185,12 @@ fn push_json_string(buf: &mut String, s: &str) {
         }
     }
     buf.push('"');
+}
+
+fn json_string(s: &str) -> String {
+    let mut buf = String::new();
+    push_json_string(&mut buf, s);
+    buf
 }
 
 /// The spec as a JSON object (parseable back with the `cli` names).
@@ -271,6 +308,175 @@ pub fn run_json(spec: &SystemSpec, stats: &RunStats, wall_seconds: Option<f64>) 
         .finish()
 }
 
+/// The optional sections of a run document. Each is written only when
+/// set, after the plain document's fields, in declaration order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sections<'a> {
+    /// The run's cycle-cost tree, flattened to `{path, count, cycles}`
+    /// rows (`profile`); the rows sum to `elapsed_cycles`.
+    pub cost_tree: Option<&'a CostTree>,
+    /// The machine and consistency state at the end of the run.
+    pub snapshot: Option<&'a SystemSnapshot>,
+    /// The occupancy time series (`run --inspect <file>.json`).
+    pub series: Option<&'a TimeSeries>,
+    /// The consistency auditor's counts and stored divergences.
+    pub audit: Option<&'a ConsistencyAuditor>,
+    /// The retained trace-event tail, oldest first, one `--trace` line
+    /// object per event.
+    pub events: Option<&'a RingBufferSink>,
+    /// Why the run failed: a workload error, or the audit divergences
+    /// that set off the flight recorder.
+    pub error: Option<&'a str>,
+}
+
+/// A run document: [`run_json`]'s plain document followed by every set
+/// section. With no section set it is exactly [`run_json`]'s bytes.
+pub fn run_doc(
+    spec: &SystemSpec,
+    stats: &RunStats,
+    wall_seconds: Option<f64>,
+    sections: &Sections,
+) -> String {
+    let mut buf = run_json(spec, stats, wall_seconds);
+    buf.pop(); // reopen the object: `run_json` ends with its closing brace
+    JsonObj { buf, empty: false }
+        .opt_raw("cost_tree", sections.cost_tree.map(cost_tree_json))
+        .opt_raw("snapshot", sections.snapshot.map(snapshot_json))
+        .opt_raw("series", sections.series.map(series_json))
+        .opt_raw("audit", sections.audit.map(audit_json))
+        .opt_raw("events", sections.events.map(events_json))
+        .opt_raw("error", sections.error.map(json_string))
+        .finish()
+}
+
+fn cost_tree_json(tree: &CostTree) -> String {
+    json_array(tree.flatten().into_iter().map(|r| {
+        JsonObj::new()
+            .str("path", &r.path)
+            .u64("count", r.count)
+            .u64("cycles", r.cycles)
+            .finish()
+    }))
+}
+
+fn cache_snapshot_json(c: &CacheSnapshot) -> String {
+    JsonObj::new()
+        .str(
+            "kind",
+            match c.kind {
+                CacheKind::Data => "data",
+                CacheKind::Insn => "insn",
+            },
+        )
+        .u64("num_lines", c.num_lines)
+        .u64("associativity", c.associativity)
+        .u64("valid", c.valid_total())
+        .u64("dirty", c.dirty_total())
+        .raw(
+            "pages",
+            &json_array(c.pages.iter().map(|(v, d)| format!("[{v},{d}]"))),
+        )
+        .raw(
+            "victim_ways",
+            &json_array(c.victim_ways.iter().map(u64::to_string)),
+        )
+        .finish()
+}
+
+fn machine_snapshot_json(m: &MachineSnapshot) -> String {
+    JsonObj::new()
+        .u64("cycles", m.cycles)
+        .raw("dcache", &cache_snapshot_json(&m.dcache))
+        .raw("icache", &cache_snapshot_json(&m.icache))
+        .raw(
+            "tlb",
+            &JsonObj::new()
+                .u64("resident", m.tlb.resident)
+                .u64("capacity", m.tlb.capacity)
+                .finish(),
+        )
+        .finish()
+}
+
+fn page_states_json(s: &PageStateCounts) -> String {
+    JsonObj::new()
+        .u64("empty", s.empty)
+        .u64("present", s.present)
+        .u64("dirty", s.dirty)
+        .u64("stale", s.stale)
+        .finish()
+}
+
+fn snapshot_json(s: &SystemSnapshot) -> String {
+    JsonObj::new()
+        .raw("machine", &machine_snapshot_json(&s.machine))
+        .u64("frames_tracked", s.frames_tracked)
+        .raw("d_states", &page_states_json(&s.d_states))
+        .raw("i_states", &page_states_json(&s.i_states))
+        .finish()
+}
+
+fn series_json(ts: &TimeSeries) -> String {
+    JsonObj::new()
+        .str("label", &ts.label)
+        .u64("every", ts.every)
+        .raw(
+            "samples",
+            &json_array(ts.samples.iter().map(machine_snapshot_json)),
+        )
+        .finish()
+}
+
+fn audit_json(a: &ConsistencyAuditor) -> String {
+    JsonObj::new()
+        .u64("events_seen", a.events_seen())
+        .u64("transitions_checked", a.transitions_checked())
+        .u64("divergence_count", a.divergence_count())
+        .raw(
+            "divergences",
+            &json_array(a.divergences().iter().map(|d| json_string(&d.to_string()))),
+        )
+        .finish()
+}
+
+fn events_json(ring: &RingBufferSink) -> String {
+    json_array(ring.events().map(|(cycle, ev)| {
+        let mut s = String::new();
+        ev.write_json(*cycle, &mut s);
+        s
+    }))
+}
+
+/// A sweep as a sweep document: every completed run as a run document
+/// (with a `cost_tree` when the outcome carries one) and every failed
+/// spec with its panic message, both in spec order. With `host_time` the
+/// document records the thread count and the sweep's and each run's
+/// wall-clock seconds; without, it holds only simulated values and is
+/// byte-identical at any thread count (the `BENCH_baseline.json` form).
+pub fn sweep_json<R: Outcome>(sweep: &Sweep<R>, host_time: bool) -> String {
+    let mut o = JsonObj::new().u64("engine_version", ENGINE_VERSION);
+    if host_time {
+        o = o
+            .u64("threads", sweep.threads as u64)
+            .f64("wall_seconds", sweep.wall.as_secs_f64());
+    }
+    let runs = json_array(sweep.results.iter().map(|r| {
+        let sections = Sections {
+            cost_tree: r.out.cost_tree(),
+            ..Sections::default()
+        };
+        let wall = host_time.then_some(r.wall.as_secs_f64());
+        run_doc(&r.spec, r.out.stats(), wall, &sections)
+    }));
+    let failures = json_array(sweep.failures.iter().map(|(spec, msg)| {
+        JsonObj::new()
+            .raw("spec", &spec_json(spec))
+            .str("error", msg)
+            .finish()
+    }));
+    o.raw("runs", &runs).raw("failures", &failures).finish()
+}
+
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(JsonValue::as_u64)
@@ -279,6 +485,12 @@ fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
 
 fn obj_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
     v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+}
+
+fn str_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("missing or non-string field '{key}'"))
 }
 
 fn op_stat_from_json(v: &JsonValue) -> Result<OpStat, String> {
@@ -301,38 +513,88 @@ fn cause_counts_from_json(v: &JsonValue) -> Result<CauseCounts, String> {
         let n = n
             .as_u64()
             .ok_or_else(|| format!("non-integer count for cause '{key}'"))?;
+        if counts.get(cause) != 0 {
+            return Err(format!("duplicate cause '{key}'"));
+        }
         counts.add(cause, n);
+    }
+    let sum = counts
+        .iter()
+        .try_fold(0u64, |sum, (_, n)| sum.checked_add(n))
+        .ok_or("cause counts overflow u64")?;
+    if u64_field(v, "total")? != sum {
+        return Err(format!("cause 'total' is not the sum {sum} of 'by_cause'"));
     }
     Ok(counts)
 }
 
-/// Parse a [`run_json`] document back to the spec and statistics it was
-/// written from: the reader behind the sweep result cache. A
-/// `wall_seconds` field is ignored. Redundant fields (cause totals) are
-/// not cross-checked; a caller that must know the document is exactly
-/// what this engine writes re-emits the result with [`run_json`] and
-/// compares bytes.
-///
-/// # Errors
-///
-/// A message naming the JSON error, the engine-version mismatch, or the
-/// first missing or mistyped field.
-pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
-    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
-    let version = u64_field(&doc, "engine_version")?;
+/// One run document read back by [`read_doc`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunDoc {
+    /// The spec the run was made from.
+    pub spec: SystemSpec,
+    /// The run's statistics.
+    pub stats: RunStats,
+    /// The `cost_tree` rows, when the document has that section. They
+    /// sum to `stats.cycles`.
+    pub cost_tree: Option<Vec<FlatRow>>,
+}
+
+/// A document read back by [`read_doc`]: a sweep document, or a run
+/// document read as a sweep of one run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepDoc {
+    /// The completed runs, in document order.
+    pub runs: Vec<RunDoc>,
+    /// The failed specs with their errors (none for a run document).
+    pub failures: Vec<(SystemSpec, String)>,
+}
+
+fn check_version(doc: &JsonValue) -> Result<(), String> {
+    let version = u64_field(doc, "engine_version")?;
     if version != ENGINE_VERSION {
         return Err(format!(
             "engine_version {version} != supported {ENGINE_VERSION}"
         ));
     }
-    let spec = spec_from_json(obj_field(&doc, "spec")?)?;
-    let str_field = |key: &str| {
-        doc.get(key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing or non-string field '{key}'"))
-    };
-    let m = obj_field(&doc, "machine")?;
+    Ok(())
+}
+
+/// The `cost_tree` rows, checked to sum to `elapsed_cycles` (with
+/// `checked_add`, so no wrapped sum can pass).
+fn cost_tree_from_json(v: &JsonValue, elapsed_cycles: u64) -> Result<Vec<FlatRow>, String> {
+    let rows = v.as_arr().ok_or("'cost_tree' is not an array")?;
+    let mut out = Vec::with_capacity(rows.len());
+    let mut sum = 0u64;
+    for (i, r) in rows.iter().enumerate() {
+        let at = |e: String| format!("cost_tree[{i}]: {e}");
+        let path = str_field(r, "path").map_err(at)?;
+        let count = u64_field(r, "count").map_err(at)?;
+        let cycles = u64_field(r, "cycles").map_err(at)?;
+        sum = sum
+            .checked_add(cycles)
+            .ok_or("cost_tree cycles overflow u64")?;
+        out.push(FlatRow {
+            path: path.to_string(),
+            count,
+            cycles,
+        });
+    }
+    if sum != elapsed_cycles {
+        return Err(format!(
+            "cost_tree rows sum to {sum} cycles but elapsed_cycles is {elapsed_cycles}"
+        ));
+    }
+    Ok(out)
+}
+
+/// Read one run document: the version, the spec, the statistics and the
+/// `cost_tree` section. Other sections and unknown fields (such as
+/// `wall_seconds`) are skipped.
+fn run_from_value(doc: &JsonValue) -> Result<RunDoc, String> {
+    check_version(doc)?;
+    let spec = spec_from_json(obj_field(doc, "spec")?)?;
+    let m = obj_field(doc, "machine")?;
     let machine = MachineStats {
         loads: u64_field(m, "loads")?,
         stores: u64_field(m, "stores")?,
@@ -351,13 +613,13 @@ pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
         dma_writes: u64_field(m, "dma_writes")?,
         dma_reads: u64_field(m, "dma_reads")?,
     };
-    let g = obj_field(&doc, "mgr")?;
+    let g = obj_field(doc, "mgr")?;
     let mgr = MgrStats {
         d_flush_pages: cause_counts_from_json(obj_field(g, "d_flush_pages")?)?,
         d_purge_pages: cause_counts_from_json(obj_field(g, "d_purge_pages")?)?,
         i_purge_pages: cause_counts_from_json(obj_field(g, "i_purge_pages")?)?,
     };
-    let o = obj_field(&doc, "os")?;
+    let o = obj_field(doc, "os")?;
     let os = OsStats {
         mapping_faults: u64_field(o, "mapping_faults")?,
         consistency_faults: u64_field(o, "consistency_faults")?,
@@ -378,9 +640,9 @@ pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
         page_ins: u64_field(o, "page_ins")?,
     };
     let stats = RunStats {
-        workload: str_field("workload")?,
-        system: str_field("system")?,
-        cycles: u64_field(&doc, "elapsed_cycles")?,
+        workload: str_field(doc, "workload")?.to_string(),
+        system: str_field(doc, "system")?.to_string(),
+        cycles: u64_field(doc, "elapsed_cycles")?,
         seconds: doc
             .get("elapsed_seconds")
             .and_then(JsonValue::as_f64)
@@ -388,221 +650,74 @@ pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
         machine,
         mgr,
         os,
-        oracle_violations: u64_field(&doc, "oracle_violations")?,
+        oracle_violations: u64_field(doc, "oracle_violations")?,
     };
-    Ok((spec, stats))
-}
-
-/// One profiled run as a JSON object: the entry format of a profile
-/// document (read back by `vic_profile::ProfileDoc`). Runs are matched
-/// between documents by the spec's label.
-pub fn profile_run_json(spec: &SystemSpec, tree: &vic_profile::CostTree) -> String {
-    let rows = json_array(tree.flatten().into_iter().map(|r| {
-        JsonObj::new()
-            .str("path", &r.path)
-            .u64("count", r.count)
-            .u64("cycles", r.cycles)
-            .finish()
-    }));
-    JsonObj::new()
-        .raw("spec", &spec_json(spec))
-        .str("label", &spec.label())
-        .u64("total_cycles", tree.total_cycles())
-        .raw("rows", &rows)
-        .finish()
-}
-
-/// A whole profile document (the `BENCH_baseline.json` format): versioned,
-/// one entry per (spec, tree) pair, in input order.
-pub fn profile_json<'a, I>(runs: I) -> String
-where
-    I: IntoIterator<Item = (&'a SystemSpec, &'a vic_profile::CostTree)>,
-{
-    JsonObj::new()
-        .u64("engine_version", vic_core::ENGINE_VERSION)
-        .raw(
-            "runs",
-            &json_array(runs.into_iter().map(|(s, t)| profile_run_json(s, t))),
-        )
-        .finish()
-}
-
-/// One run's contribution to a metrics document: its label, deterministic
-/// simulated cycle count, and (nondeterministic) host nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMetric {
-    /// Human-readable run label (the spec's label).
-    pub label: String,
-    /// Simulated cycles the run retired.
-    pub sim_cycles: u64,
-    /// Host wall-clock nanoseconds the run took.
-    pub host_ns: u64,
-}
-
-fn histogram_json(h: &Histogram) -> String {
-    JsonObj::new()
-        .u64("count", h.count())
-        .u64("total", h.total())
-        .u64("min", h.min())
-        .u64("max", h.max())
-        .raw(
-            "buckets",
-            &json_array(h.buckets().iter().map(|n| n.to_string())),
-        )
-        .finish()
-}
-
-/// The fleet-telemetry metrics document: versioned, with a `fleet`
-/// roll-up (runs completed/failed, cycles retired, host time), the raw
-/// counters/gauges/histograms from the merged [`MetricsShard`], and one
-/// entry per run. The fleet totals are *redundant* with the per-run list
-/// on purpose — `parse_metrics_doc` cross-checks them, so a reader can
-/// detect a truncated or hand-edited file.
-pub fn metrics_json(
-    threads: usize,
-    wall_seconds: f64,
-    shard: &MetricsShard,
-    runs: &[RunMetric],
-) -> String {
-    let host_ns = shard
-        .histogram("host_ns_per_run")
-        .map_or(0, Histogram::total);
-    let fleet = JsonObj::new()
-        .u64("runs_completed", shard.counter("runs_completed"))
-        .u64("runs_failed", shard.counter("runs_failed"))
-        .u64("sim_cycles", shard.counter("sim_cycles"))
-        .u64("host_ns", host_ns)
-        .finish();
-    let mut counters = JsonObj::new();
-    for (name, n) in shard.counters() {
-        counters = counters.u64(name, n);
-    }
-    let mut gauges = JsonObj::new();
-    for (name, v) in shard.gauges() {
-        gauges = gauges.u64(name, v);
-    }
-    let mut histograms = JsonObj::new();
-    for (name, h) in shard.histograms() {
-        histograms = histograms.raw(name, &histogram_json(h));
-    }
-    let runs = json_array(runs.iter().map(|r| {
-        JsonObj::new()
-            .str("label", &r.label)
-            .u64("sim_cycles", r.sim_cycles)
-            .u64("host_ns", r.host_ns)
-            .finish()
-    }));
-    JsonObj::new()
-        .u64("engine_version", vic_core::ENGINE_VERSION)
-        .u64("threads", threads as u64)
-        .f64("wall_seconds", wall_seconds)
-        .raw("fleet", &fleet)
-        .raw("counters", &counters.finish())
-        .raw("gauges", &gauges.finish())
-        .raw("histograms", &histograms.finish())
-        .raw("runs", &runs)
-        .finish()
-}
-
-/// A parsed and cross-checked metrics document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsDoc {
-    /// Worker threads the sweep used.
-    pub threads: u64,
-    /// Fleet roll-up: runs completed.
-    pub runs_completed: u64,
-    /// Fleet roll-up: runs failed.
-    pub runs_failed: u64,
-    /// Fleet roll-up: total simulated cycles.
-    pub sim_cycles: u64,
-    /// Fleet roll-up: total host nanoseconds across runs.
-    pub host_ns: u64,
-    /// The per-run entries, in document order.
-    pub runs: Vec<RunMetric>,
-}
-
-/// Parse a [`metrics_json`] document and verify its internal consistency:
-/// the version matches, and the fleet totals (`runs_completed`,
-/// `sim_cycles`, `host_ns`) equal the sums over the per-run list.
-///
-/// # Errors
-///
-/// A message naming the missing field, version mismatch, or the first
-/// fleet total that disagrees with the run list.
-pub fn parse_metrics_doc(text: &str) -> Result<MetricsDoc, String> {
-    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
-    let version = u64_field(&doc, "engine_version")?;
-    if version != ENGINE_VERSION {
-        return Err(format!(
-            "engine_version {version} != supported {ENGINE_VERSION}"
-        ));
-    }
-    let threads = u64_field(&doc, "threads")?;
-    let fleet = obj_field(&doc, "fleet")?;
-    let runs_completed = u64_field(fleet, "runs_completed")?;
-    let runs_failed = u64_field(fleet, "runs_failed")?;
-    let sim_cycles = u64_field(fleet, "sim_cycles")?;
-    let host_ns = u64_field(fleet, "host_ns")?;
-    let mut runs = Vec::new();
-    for (i, r) in doc
-        .get("runs")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing array 'runs'")?
-        .iter()
-        .enumerate()
-    {
-        runs.push(RunMetric {
-            label: r
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("run {i}: missing 'label'"))?
-                .to_string(),
-            sim_cycles: u64_field(r, "sim_cycles").map_err(|e| format!("run {i}: {e}"))?,
-            host_ns: u64_field(r, "host_ns").map_err(|e| format!("run {i}: {e}"))?,
-        });
-    }
-    if runs_completed != runs.len() as u64 {
-        return Err(format!(
-            "fleet.runs_completed {runs_completed} != {} run entries",
-            runs.len()
-        ));
-    }
-    let run_cycles: u64 = runs.iter().map(|r| r.sim_cycles).sum();
-    if sim_cycles != run_cycles {
-        return Err(format!(
-            "fleet.sim_cycles {sim_cycles} != sum over runs {run_cycles}"
-        ));
-    }
-    let run_ns: u64 = runs.iter().map(|r| r.host_ns).sum();
-    if host_ns != run_ns {
-        return Err(format!("fleet.host_ns {host_ns} != sum over runs {run_ns}"));
-    }
-    Ok(MetricsDoc {
-        threads,
-        runs_completed,
-        runs_failed,
-        sim_cycles,
-        host_ns,
-        runs,
+    let cost_tree = doc
+        .get("cost_tree")
+        .map(|v| cost_tree_from_json(v, stats.cycles))
+        .transpose()?;
+    Ok(RunDoc {
+        spec,
+        stats,
+        cost_tree,
     })
 }
 
-/// A whole sweep as a JSON object (the `BENCH_sweep.json` format).
-pub fn sweep_json(sweep: &Sweep) -> String {
-    JsonObj::new()
-        .u64("engine_version", vic_core::ENGINE_VERSION)
-        .u64("threads", sweep.threads as u64)
-        .f64("wall_seconds", sweep.wall.as_secs_f64())
-        .raw(
-            "runs",
-            &json_array(
-                sweep
-                    .results
-                    .iter()
-                    .map(|r| run_json(&r.spec, &r.out, Some(r.wall.as_secs_f64()))),
-            ),
-        )
-        .finish()
+fn failure_from_json(v: &JsonValue) -> Result<(SystemSpec, String), String> {
+    let spec = spec_from_json(obj_field(v, "spec")?)?;
+    Ok((spec, str_field(v, "error")?.to_string()))
+}
+
+/// Read a run document or a sweep document: the one reader of every
+/// result this crate writes. Each run's cause totals must equal their
+/// `by_cause` sums and its `cost_tree` rows must sum to its
+/// `elapsed_cycles`; host-time fields are ignored.
+///
+/// # Errors
+///
+/// A message naming the JSON error, the engine-version mismatch, or the
+/// first missing, mistyped or inconsistent field (prefixed with the run
+/// or failure it belongs to).
+pub fn read_doc(text: &str) -> Result<SweepDoc, String> {
+    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
+    let Some(runs) = doc.get("runs") else {
+        return Ok(SweepDoc {
+            runs: vec![run_from_value(&doc)?],
+            failures: Vec::new(),
+        });
+    };
+    check_version(&doc)?;
+    let runs = runs
+        .as_arr()
+        .ok_or("'runs' is not an array")?
+        .iter()
+        .enumerate()
+        .map(|(i, r)| run_from_value(r).map_err(|e| format!("runs[{i}]: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let failures = doc
+        .get("failures")
+        .and_then(JsonValue::as_arr)
+        .ok_or("missing array 'failures'")?
+        .iter()
+        .enumerate()
+        .map(|(i, f)| failure_from_json(f).map_err(|e| format!("failures[{i}]: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(SweepDoc { runs, failures })
+}
+
+/// Read one run document back to the spec and statistics it was written
+/// from ([`read_doc`] for a single run): the reader behind the sweep
+/// result cache. A caller that must know the document is exactly what
+/// this engine writes re-emits the result with [`run_json`] and compares
+/// bytes.
+///
+/// # Errors
+///
+/// As [`read_doc`]; a sweep document is an error (it has no `spec`).
+pub fn run_from_json(text: &str) -> Result<(SystemSpec, RunStats), String> {
+    let doc = parse_json(text).map_err(|e| format!("bad JSON: {e}"))?;
+    let run = run_from_value(&doc)?;
+    Ok((run.spec, run.stats))
 }
 
 #[cfg(test)]
@@ -624,58 +739,6 @@ mod tests {
         );
         assert_eq!(json_array(vec![]), "[]");
         assert_eq!(json_array(vec!["1".to_string(), "2".to_string()]), "[1,2]");
-    }
-
-    fn sample_metrics() -> (MetricsShard, Vec<RunMetric>) {
-        let mut shard = MetricsShard::default();
-        let runs: Vec<RunMetric> = [("a", 100, 7), ("b", 250, 9)]
-            .into_iter()
-            .map(|(label, sim_cycles, host_ns)| RunMetric {
-                label: label.to_string(),
-                sim_cycles,
-                host_ns,
-            })
-            .collect();
-        for r in &runs {
-            shard.add("runs_completed", 1);
-            shard.add("sim_cycles", r.sim_cycles);
-            shard.observe("sim_cycles_per_run", r.sim_cycles);
-            shard.observe("host_ns_per_run", r.host_ns);
-            shard.gauge_max("peak_sim_cycles", r.sim_cycles);
-        }
-        (shard, runs)
-    }
-
-    #[test]
-    fn metrics_doc_round_trips_and_cross_checks() {
-        let (shard, runs) = sample_metrics();
-        let text = metrics_json(4, 0.5, &shard, &runs);
-        assert!(
-            text.starts_with(&format!(
-                "{{\"engine_version\":{},",
-                vic_core::ENGINE_VERSION
-            )),
-            "{text}"
-        );
-        let doc = parse_metrics_doc(&text).expect("own output parses");
-        assert_eq!(doc.threads, 4);
-        assert_eq!(doc.runs_completed, 2);
-        assert_eq!(doc.runs_failed, 0);
-        assert_eq!(doc.sim_cycles, 350);
-        assert_eq!(doc.host_ns, 16);
-        assert_eq!(doc.runs, runs);
-
-        // Tampered totals are caught.
-        let bad = text.replace("\"sim_cycles\":350", "\"sim_cycles\":351");
-        let err = parse_metrics_doc(&bad).expect_err("tampered total");
-        assert!(err.contains("sim_cycles"), "{err}");
-        let bad = text.replace(
-            &format!("\"engine_version\":{}", vic_core::ENGINE_VERSION),
-            "\"engine_version\":99",
-        );
-        assert!(parse_metrics_doc(&bad).is_err());
-        assert!(parse_metrics_doc("{}").is_err());
-        assert!(parse_metrics_doc("not json").is_err());
     }
 
     /// The quick Table-4+5 grid plus one spec per non-default knob.
@@ -719,6 +782,7 @@ mod tests {
 
         let spec = SystemSpec::quick(WorkloadKind::Afs, SystemKind::Tut);
         let text = run_json(&spec, &spec.run(), None);
+        assert!(!text.contains("wall_seconds"), "no host time unless given");
         // A torn write leaves a prefix: each one is an error, not a panic.
         for end in 0..text.len() {
             assert!(run_from_json(&text[..end]).is_err(), "{end}-byte prefix");
@@ -735,28 +799,98 @@ mod tests {
     }
 
     #[test]
-    fn run_json_is_deterministic_and_balanced() {
+    fn cost_tree_rows_must_sum_to_elapsed_cycles() {
+        use vic_os::SystemKind;
+        use vic_workloads::WorkloadKind;
+
+        let spec = SystemSpec::quick(WorkloadKind::AliasAligned, SystemKind::Utah);
+        let mut stats = spec.run();
+        let rows = |cycles: &[u64]| {
+            let mut t = CostTree::new();
+            for (i, &c) in cycles.iter().enumerate() {
+                let node = t.child(0, vic_profile::Seg::Machine(["a", "b", "c"][i]));
+                t.add(node, 1, c);
+            }
+            t
+        };
+        let doc = |stats: &RunStats, tree: &CostTree| {
+            let sections = Sections {
+                cost_tree: Some(tree),
+                ..Sections::default()
+            };
+            read_doc(&run_doc(&spec, stats, None, &sections))
+        };
+        // Rows whose sum wraps to the stated total are still caught.
+        stats.cycles = 5;
+        let err = doc(&stats, &rows(&[1 << 63, 1 << 63, 5])).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+        let err = doc(&stats, &rows(&[2, 2])).unwrap_err();
+        assert!(err.contains("sum to 4"), "{err}");
+        assert!(doc(&stats, &rows(&[2, 3])).is_ok());
+        stats.cycles = 1 << 63;
+        assert!(doc(&stats, &rows(&[1 << 62, 1 << 62])).is_ok());
+    }
+
+    #[test]
+    fn cause_totals_are_checked() {
         use vic_core::policy::Configuration;
         use vic_os::SystemKind;
         use vic_workloads::WorkloadKind;
 
         let spec = SystemSpec::quick(WorkloadKind::Fork, SystemKind::Cmu(Configuration::F));
-        let a = run_json(&spec, &spec.run(), None);
-        let b = run_json(&spec, &spec.run(), None);
-        assert_eq!(a, b, "same spec, same JSON, byte for byte");
-        // Structurally sane: balanced braces, expected fields present.
-        assert_eq!(
-            a.matches('{').count(),
-            a.matches('}').count(),
-            "balanced: {a}"
+        let stats = spec.run();
+        let text = run_json(&spec, &stats, None);
+        let purges = stats.mgr.d_purge_pages.total();
+        assert!(purges > 0, "fork-bench purges");
+        let pattern = format!("\"total\":{purges},");
+        let err = run_from_json(&text.replacen(&pattern, "\"total\":0,", 1)).unwrap_err();
+        assert!(err.contains("'total'"), "{err}");
+        // A repeated cause key could overflow the count: it is refused.
+        let dup = text.replacen(
+            "\"by_cause\":{\"new_mapping\":",
+            "\"by_cause\":{\"new_mapping\":18446744073709551615,\"new_mapping\":",
+            1,
         );
-        for field in [
-            "\"spec\":",
-            "\"elapsed_cycles\":",
-            "\"oracle_violations\":0",
-        ] {
-            assert!(a.contains(field), "missing {field} in {a}");
-        }
-        assert!(!a.contains("wall_seconds"));
+        assert_ne!(dup, text);
+        let err = run_from_json(&dup).unwrap_err();
+        assert!(err.contains("duplicate cause"), "{err}");
+    }
+
+    #[test]
+    fn sweep_documents_list_runs_and_failures() {
+        use crate::sweep::run_sweep;
+        use vic_metrics::ProgressReporter;
+        use vic_os::SystemKind;
+        use vic_workloads::WorkloadKind;
+
+        let specs = [SystemKind::Utah, SystemKind::Tut, SystemKind::Sun]
+            .map(|sys| SystemSpec::quick(WorkloadKind::AliasAligned, sys));
+        let sweep = run_sweep(&specs, 2, &ProgressReporter::disabled(), |s| {
+            assert!(*s != specs[1], "boom \"quoted\"");
+            s.run()
+        });
+        let text = sweep_json(&sweep, true);
+        let head = format!("{{\"engine_version\":{ENGINE_VERSION},\"threads\":2,\"wall_seconds\":");
+        assert!(text.starts_with(&head), "{text}");
+        let tail = format!(
+            ",\"failures\":[{{\"spec\":{},\"error\":\"boom \\\"quoted\\\"\"}}]}}",
+            spec_json(&specs[1])
+        );
+        assert!(text.ends_with(&tail), "{text}");
+        assert_eq!(text.matches("\"wall_seconds\":").count(), 3);
+        let back = read_doc(&text).expect("own output reads back");
+        assert_eq!(back.failures, [(specs[1], "boom \"quoted\"".to_string())]);
+        let ran: Vec<_> = back.runs.into_iter().map(|r| (r.spec, r.stats)).collect();
+        assert_eq!(ran, [specs[0], specs[2]].map(|s| (s, s.run())));
+
+        // Without host time: no thread count, no wall clock anywhere.
+        let stable = sweep_json(&sweep, false);
+        let head = format!("{{\"engine_version\":{ENGINE_VERSION},\"runs\":[{{");
+        assert!(stable.starts_with(&head) && !stable.contains("wall_seconds"));
+        assert_eq!(read_doc(&stable).unwrap().runs.len(), 2);
+        // The single-run reader refuses a sweep document, and a sweep
+        // document needs its failure list.
+        assert!(run_from_json(&stable).is_err());
+        assert!(read_doc(&stable.replacen("\"failures\":", "\"fail\":", 1)).is_err());
     }
 }

@@ -14,9 +14,11 @@
 //!
 //! The queue is generic over what a run returns: plain [`RunStats`] for
 //! `sweep`, [`RunStats`] with a [`CostTree`] for the profiler's baseline.
-//! Every sweep carries fleet telemetry and is failure-tolerant: a
-//! panicking run is recorded in [`Sweep::failures`] instead of aborting
-//! the others.
+//! Every sweep is failure-tolerant: a panicking run is recorded in
+//! [`Sweep::failures`] instead of aborting the others. Fleet totals (runs
+//! completed and failed, cycles retired, host time per run) are read off
+//! the sweep document (`output::sweep_json`), which lists every completed
+//! run and every failure.
 //!
 //! Determinism: each run is a pure function of its spec, so the *values*
 //! in the result vector are independent of thread count and interleaving;
@@ -27,16 +29,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use vic_metrics::{MetricsShard, ProgressReporter};
+use vic_metrics::ProgressReporter;
 use vic_profile::CostTree;
 use vic_workloads::RunStats;
 
 use crate::spec::SystemSpec;
 
-/// What one run of a sweep returns: its statistics, perhaps with more.
+/// What one run of a sweep returns: its statistics, perhaps with its
+/// cost tree (what the sweep document writes for each run).
 pub trait Outcome: Send {
     /// The run's statistics.
     fn stats(&self) -> &RunStats;
+
+    /// The run's cycle-cost tree, when it was profiled.
+    fn cost_tree(&self) -> Option<&CostTree> {
+        None
+    }
 }
 
 impl Outcome for RunStats {
@@ -48,6 +56,10 @@ impl Outcome for RunStats {
 impl Outcome for (RunStats, CostTree) {
     fn stats(&self) -> &RunStats {
         &self.0
+    }
+
+    fn cost_tree(&self) -> Option<&CostTree> {
+        Some(&self.1)
     }
 }
 
@@ -74,11 +86,6 @@ pub struct Sweep<R = RunStats> {
     pub threads: usize,
     /// Host wall-clock time for the whole sweep.
     pub wall: Duration,
-    /// Merged fleet telemetry from every worker: `runs_completed`,
-    /// `runs_failed`, `sim_cycles`, `peak_sim_cycles` and the
-    /// `sim_cycles_per_run` and `host_ns_per_run` histograms, plus
-    /// whatever the run function itself counted.
-    pub metrics: MetricsShard,
 }
 
 /// Where a worker parks one spec's outcome: the result, or the panic
@@ -103,14 +110,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Call `run` on every spec on `threads` workers and return the outcomes
-/// in spec order.
-///
-/// Each worker keeps a private [`MetricsShard`], which `run` may also
-/// count into; shards are merged after the scope joins. Because the merge
-/// is commutative and associative and every deterministic metric is a
-/// pure function of the spec, the merged counters and the
-/// `sim_cycles_per_run` histogram are independent of thread count and
-/// scheduling — only `host_ns_per_run` (host timing) varies.
+/// in spec order. Each outcome is a pure function of its spec, so only
+/// the wall-clock timings depend on the thread count and scheduling.
 /// `progress.tick` fires after every finished run. A run that panics is
 /// caught and listed in [`Sweep::failures`].
 ///
@@ -124,8 +125,8 @@ pub fn run_sweep<R, F>(
     run: F,
 ) -> Sweep<R>
 where
-    R: Outcome,
-    F: Fn(&SystemSpec, &mut MetricsShard) -> R + Sync,
+    R: Send,
+    F: Fn(&SystemSpec) -> R + Sync,
 {
     assert!(threads > 0, "a sweep needs at least one worker");
     let started = Instant::now();
@@ -133,51 +134,27 @@ where
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let slots: Vec<Slot<R>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let shards: Mutex<Vec<MetricsShard>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut shard = MetricsShard::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let t0 = Instant::now();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run(spec, &mut shard)
-                    }));
-                    let wall = t0.elapsed();
-                    let slot = match outcome {
-                        Ok(out) => {
-                            let cycles = out.stats().cycles;
-                            shard.add("runs_completed", 1);
-                            shard.add("sim_cycles", cycles);
-                            shard.observe("sim_cycles_per_run", cycles);
-                            shard.observe("host_ns_per_run", wall.as_nanos() as u64);
-                            shard.gauge_max("peak_sim_cycles", cycles);
-                            Ok(SweepResult {
-                                spec: *spec,
-                                out,
-                                wall,
-                            })
-                        }
-                        Err(payload) => {
-                            shard.add("runs_failed", 1);
-                            Err(panic_message(payload))
-                        }
-                    };
-                    *slots[i].lock().expect("result slot poisoned") = Some(slot);
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    progress.tick(n as u64);
-                }
-                shards.lock().expect("shard list poisoned").push(shard);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let t0 = Instant::now();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(spec)));
+                let slot = outcome
+                    .map(|out| SweepResult {
+                        spec: *spec,
+                        out,
+                        wall: t0.elapsed(),
+                    })
+                    .map_err(panic_message);
+                *slots[i].lock().expect("result slot poisoned") = Some(slot);
+                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                progress.tick(n as u64);
             });
         }
     });
     progress.finish();
-    let mut metrics = MetricsShard::default();
-    for shard in shards.into_inner().expect("shard list poisoned") {
-        metrics.merge(&shard);
-    }
     let mut results = Vec::new();
     let mut failures = Vec::new();
     for (spec, slot) in specs.iter().zip(slots) {
@@ -195,7 +172,6 @@ where
         failures,
         threads,
         wall: started.elapsed(),
-        metrics,
     }
 }
 
@@ -207,9 +183,12 @@ mod tests {
     use vic_workloads::WorkloadKind;
 
     fn plain(specs: &[SystemSpec], threads: usize) -> Sweep {
-        run_sweep(specs, threads, &ProgressReporter::disabled(), |s, _| {
-            s.run()
-        })
+        run_sweep(
+            specs,
+            threads,
+            &ProgressReporter::disabled(),
+            SystemSpec::run,
+        )
     }
 
     fn small_specs() -> Vec<SystemSpec> {
@@ -255,31 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_count_the_fleet() {
-        let specs = small_specs();
-        let obs = plain(&specs, 2);
-        assert!(obs.failures.is_empty());
-        assert_eq!(obs.results.len(), specs.len());
-        for (spec, r) in specs.iter().zip(&obs.results) {
-            assert_eq!(r.out, spec.run(), "telemetry changes nothing");
-        }
-        let total: u64 = obs.results.iter().map(|r| r.out.cycles).sum();
-        let peak = obs.results.iter().map(|r| r.out.cycles).max().unwrap();
-        assert_eq!(obs.metrics.counter("runs_completed"), specs.len() as u64);
-        assert_eq!(obs.metrics.counter("runs_failed"), 0);
-        assert_eq!(obs.metrics.counter("sim_cycles"), total);
-        assert_eq!(obs.metrics.gauge("peak_sim_cycles"), Some(peak));
-        let h = obs.metrics.histogram("sim_cycles_per_run").unwrap();
-        assert_eq!(h.count(), specs.len() as u64);
-        assert_eq!(h.total(), total);
-    }
-
-    #[test]
     fn panicking_runs_are_failures_not_aborts() {
         let specs = small_specs();
         let poisoned = specs[1];
-        let sweep = run_sweep(&specs, 2, &ProgressReporter::disabled(), |s, shard| {
-            shard.add("attempts", 1);
+        let attempts = AtomicUsize::new(0);
+        let sweep = run_sweep(&specs, 2, &ProgressReporter::disabled(), |s| {
+            attempts.fetch_add(1, Ordering::Relaxed);
             assert!(*s != poisoned, "boom");
             s.run()
         });
@@ -287,8 +247,7 @@ mod tests {
         assert_eq!(sweep.failures.len(), 1);
         assert_eq!(sweep.failures[0].0, poisoned);
         assert!(sweep.failures[0].1.contains("boom"), "{:?}", sweep.failures);
-        assert_eq!(sweep.metrics.counter("runs_failed"), 1);
-        assert_eq!(sweep.metrics.counter("attempts"), specs.len() as u64);
+        assert_eq!(attempts.into_inner(), specs.len());
     }
 
     #[test]

@@ -7,6 +7,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use vic_bench::output::{read_doc, RunDoc, SweepDoc};
+use vic_profile::{parse_json, JsonValue};
+
 fn run_bin(exe: &str, args: &[&str]) -> Output {
     Command::new(exe)
         .args(args)
@@ -27,6 +30,34 @@ fn tmp_file(name: &str) -> PathBuf {
 /// `{"engine_version":N,` — the prefix every versioned document starts with.
 fn ver_prefix() -> String {
     format!("{{\"engine_version\":{},", vic_core::ENGINE_VERSION)
+}
+
+/// A written run or sweep document, read back by the one reader.
+fn read_written(path: &std::path::Path) -> (String, SweepDoc) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{} not written: {e}", path.display()));
+    let doc = read_doc(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", path.display()));
+    (text, doc)
+}
+
+/// A written run document, read back by the one reader and parsed; the
+/// file is removed.
+fn take_run_doc(path: &std::path::Path) -> (RunDoc, JsonValue) {
+    let (text, mut doc) = read_written(path);
+    let _ = std::fs::remove_file(path);
+    assert!(
+        text.starts_with(&format!("{}\"spec\":", ver_prefix())),
+        "{text}"
+    );
+    assert_eq!((doc.runs.len(), doc.failures.len()), (1, 0), "{text}");
+    (doc.runs.remove(0), parse_json(&text).unwrap())
+}
+
+/// The value at `path` in a parsed document.
+fn at<'a>(v: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter()
+        .try_fold(v, |v, k| v.get(k))
+        .unwrap_or_else(|| panic!("no {path:?} in the document"))
 }
 
 #[test]
@@ -105,7 +136,7 @@ fn sweep_honors_threads_flag_and_writes_json() {
         text.contains(&format!("swept {n} specs on 3 threads")),
         "{text}"
     );
-    let doc = std::fs::read_to_string(&json).expect("sweep wrote its JSON file");
+    let (doc, read) = read_written(&json);
     let _ = std::fs::remove_file(&json);
     assert!(
         doc.starts_with(&format!(
@@ -115,6 +146,10 @@ fn sweep_honors_threads_flag_and_writes_json() {
         "JSON records the engine version and thread count"
     );
     assert_eq!(doc.matches("\"oracle_violations\":0").count(), n);
+    // The fleet totals are read off the sweep document: N runs, no failure.
+    assert!(doc.ends_with(",\"failures\":[]}\n"), "{doc}");
+    assert_eq!(read.runs.len(), n);
+    assert!(read.failures.is_empty());
 }
 
 #[test]
@@ -134,7 +169,7 @@ fn profile_binary_reports_diffs_and_gates() {
     let base = tmp_file("profile-base.json");
     let other = tmp_file("profile-other.json");
 
-    // Report mode: breakdown tables plus a profile document.
+    // Report mode: breakdown tables plus a run document with a cost tree.
     let out = run_bin(
         profile,
         &[
@@ -149,6 +184,9 @@ fn profile_binary_reports_diffs_and_gates() {
     let text = stdout_of(&out);
     assert!(text.contains("% of run"), "breakdown table:\n{text}");
     assert!(text.contains("os:"), "kernel attribution present:\n{text}");
+    let run = &read_written(&base).1.runs[0];
+    let rows = run.cost_tree.as_ref().expect("cost_tree section");
+    assert_eq!(rows.iter().map(|r| r.cycles).sum::<u64>(), run.stats.cycles);
 
     // Self-diff: clean, exit 0 — the simulator is deterministic.
     let out = run_bin(
@@ -183,21 +221,21 @@ fn profile_binary_reports_diffs_and_gates() {
 
 #[test]
 fn run_inspect_writes_an_occupancy_series() {
+    let inspect = |path: &PathBuf| {
+        let args = ["fork-bench", "F", "--quick", "--inspect"];
+        let out = run_bin(
+            env!("CARGO_BIN_EXE_run"),
+            &[
+                &args[..],
+                &[path.to_str().unwrap(), "--sample-every", "500"],
+            ]
+            .concat(),
+        );
+        assert!(out.status.success(), "run failed: {out:?}");
+        stdout_of(&out)
+    };
     let csv = tmp_file("inspect.csv");
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_run"),
-        &[
-            "fork-bench",
-            "F",
-            "--quick",
-            "--inspect",
-            csv.to_str().unwrap(),
-            "--sample-every",
-            "500",
-        ],
-    );
-    assert!(out.status.success(), "run failed: {out:?}");
-    let text = stdout_of(&out);
+    let text = inspect(&csv);
     assert!(text.contains("inspect:"), "inspect line present:\n{text}");
     assert!(text.contains("every 500 cycles"), "{text}");
     assert!(text.contains("state:"), "final snapshot line:\n{text}");
@@ -210,6 +248,15 @@ fn run_inspect_writes_an_occupancy_series() {
         "CSV header:\n{doc}"
     );
     assert!(lines.next().is_some(), "at least one sample:\n{doc}");
+
+    // A .json file is the run document with a series section.
+    let json = tmp_file("inspect.json");
+    inspect(&json);
+    let (_, v) = take_run_doc(&json);
+    assert_eq!(at(&v, &["series", "every"]).as_u64(), Some(500));
+    let samples = at(&v, &["series", "samples"]).as_arr().unwrap();
+    assert_eq!(samples.len(), doc.lines().count() - 1, "the CSV's samples");
+    assert!(samples[0].get("dcache").is_some());
 }
 
 #[test]
@@ -232,22 +279,31 @@ fn run_flight_recorder_dumps_on_divergence() {
     assert_eq!(out.status.code(), Some(1), "chaos violates the oracle");
     let text = stdout_of(&out);
     assert!(text.contains("flight:"), "dump announced:\n{text}");
-    assert!(text.contains("audit divergences"), "{text}");
-    let doc = std::fs::read_to_string(&dump).expect("post-mortem written");
-    let _ = std::fs::remove_file(&dump);
-    assert!(doc.starts_with(&ver_prefix()), "{doc}");
-    let snapshot_field = format!(
-        "\"snapshot\":{{\"engine_version\":{}",
-        vic_core::ENGINE_VERSION
+    // The dump is the run document with the audit, the event tail, the
+    // snapshot and the error.
+    let (run, v) = take_run_doc(&dump);
+    assert!(run.stats.oracle_violations > 0);
+    let count = at(&v, &["audit", "divergence_count"]).as_u64().unwrap();
+    let listed = at(&v, &["audit", "divergences"]).as_arr().unwrap().len() as u64;
+    assert!(
+        count > 0 && listed > 0 && listed <= count,
+        "{count}, {listed}"
     );
-    for field in [
-        "\"reason\":",
-        "\"divergence_count\":",
-        "\"events\":[",
-        snapshot_field.as_str(),
-    ] {
-        assert!(doc.contains(field), "missing {field}:\n{doc}");
-    }
+    assert!(at(&v, &["audit", "transitions_checked"]).as_u64() > Some(0));
+    let reason = format!("{count} audit divergences");
+    assert!(text.contains(&reason), "{text}");
+    assert_eq!(at(&v, &["error"]).as_str(), Some(&*reason));
+    let events = at(&v, &["events"]).as_arr().unwrap();
+    assert!(!events.is_empty(), "the event tail is kept");
+    assert!(
+        events.iter().all(|e| e.get("ev").is_some()),
+        "--trace lines"
+    );
+    assert_eq!(
+        at(&v, &["snapshot", "machine", "cycles"]).as_u64(),
+        Some(run.stats.cycles),
+        "the snapshot is taken where the run ended"
+    );
 }
 
 #[test]
@@ -279,11 +335,6 @@ fn unwritable_output_paths_exit_2_with_a_named_path() {
     // Every file-writing flag must fail cleanly (typed error, exit 2, no
     // panic) on a path under a directory that does not exist.
     let bad = "/nonexistent-vic-dir/out.json";
-    // The sweep writes its results JSON before the metrics file; park the
-    // results in a scratch path so the failing-metrics case doesn't drop
-    // a BENCH_sweep.json into the working directory.
-    let scratch = tmp_file("scratch-sweep.json");
-    let scratch = scratch.to_str().unwrap();
     for (exe, args) in [
         (
             env!("CARGO_BIN_EXE_run"),
@@ -310,10 +361,6 @@ fn unwritable_output_paths_exit_2_with_a_named_path() {
             ],
         ),
         (env!("CARGO_BIN_EXE_sweep"), vec!["--quick", "--json", bad]),
-        (
-            env!("CARGO_BIN_EXE_sweep"),
-            vec!["--quick", "--json", scratch, "--metrics", bad],
-        ),
         (
             env!("CARGO_BIN_EXE_profile"),
             vec!["fork-bench", "F", "--quick", "--json", bad],
@@ -555,11 +602,11 @@ fn swept_runs(stdout: &str) -> usize {
 }
 
 /// A sweep's stdout without its header (the `sweep: N runs on T threads`
-/// line and the blank line after it) and its summary lines (`metrics:`,
-/// `cache:`, `swept`): the tables, which hold no host time.
+/// line and the blank line after it) and its summary lines (`cache:`,
+/// `swept`): the tables, which hold no host time.
 fn sweep_tables(stdout: &str) -> &str {
     let start = stdout.find("\n\n").expect("header printed") + 2;
-    let end = ["\nmetrics: ", "\ncache: ", "\nswept "]
+    let end = ["\ncache: ", "\nswept "]
         .iter()
         .filter_map(|tail| stdout.find(tail))
         .min()
@@ -611,29 +658,12 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     let dir = tmp_file("cache");
     let _ = std::fs::remove_dir_all(&dir);
     let d = dir.to_str().unwrap();
-    let [a, b, plain, metrics] = [
-        "cache-a.json",
-        "cache-b.json",
-        "cache-plain.json",
-        "cache-m.json",
-    ]
-    .map(tmp_file);
-    let [a_s, b_s, plain_s, metrics_s] = [&a, &b, &plain, &metrics].map(|p| p.to_str().unwrap());
+    let [a, b, plain] = ["cache-a.json", "cache-b.json", "cache-plain.json"].map(tmp_file);
+    let [a_s, b_s, plain_s] = [&a, &b, &plain].map(|p| p.to_str().unwrap());
 
     let cold = run_bin(sweep, &["--quick", "--cache", d, "--json", a_s]);
     assert!(cold.status.success(), "cold sweep: {cold:?}");
-    let warm = run_bin(
-        sweep,
-        &[
-            "--quick",
-            "--cache",
-            d,
-            "--json",
-            b_s,
-            "--metrics",
-            metrics_s,
-        ],
-    );
+    let warm = run_bin(sweep, &["--quick", "--cache", d, "--json", b_s]);
     assert!(warm.status.success(), "warm sweep: {warm:?}");
     let uncached = run_bin(sweep, &["--quick", "--json", plain_s]);
     assert!(uncached.status.success(), "uncached sweep: {uncached:?}");
@@ -649,15 +679,10 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     let [a_doc, b_doc] = [&a, &b].map(|p| std::fs::read_to_string(p).unwrap());
     assert!(b_doc.starts_with(&ver_prefix()), "{b_doc}");
     assert_eq!(strip_all_wall(&a_doc), strip_all_wall(&b_doc));
-    // Hits are completed runs in the telemetry, and are counted.
-    let m = std::fs::read_to_string(&metrics).unwrap();
-    for field in [
-        format!("\"runs_completed\":{n},"),
-        "\"runs_failed\":0,".to_string(),
-        format!("\"cache_hits\":{n},"),
-    ] {
-        assert!(m.contains(&field), "missing {field} in {m}");
-    }
+    // Hits are completed runs in the sweep document.
+    let warm_doc = read_doc(&b_doc).unwrap();
+    assert_eq!(warm_doc.runs.len() as u64, n);
+    assert!(warm_doc.failures.is_empty());
 
     // Each file is named by the spec digest and holds exactly the
     // in-process run document.
@@ -722,7 +747,7 @@ fn sweep_cache_hits_are_byte_identical_across_processes() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    for f in [&a, &b, &plain, &metrics] {
+    for f in [&a, &b, &plain] {
         let _ = std::fs::remove_file(f);
     }
 }
@@ -737,86 +762,103 @@ fn strip_all_wall(doc: &str) -> String {
 }
 
 #[test]
-fn sweep_metrics_exports_and_check_metrics_validates() {
-    let sweep = env!("CARGO_BIN_EXE_sweep");
-    let json = tmp_file("sweep-m.json");
-    let metrics = tmp_file("metrics.json");
-    let out = run_bin(
-        sweep,
-        &[
-            "--quick",
-            "--threads",
-            "2",
-            "--json",
-            json.to_str().unwrap(),
-            "--metrics",
-            metrics.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "sweep failed: {out:?}");
-    let text = stdout_of(&out);
-    assert!(text.contains("fleet telemetry written to"), "{text}");
-    let n = swept_runs(&text);
-    let doc = std::fs::read_to_string(&metrics).expect("metrics written");
-    assert!(doc.starts_with(&ver_prefix()), "{doc}");
-    let completed = format!("\"runs_completed\":{n},");
-    assert!(doc.contains(&completed), "{doc}");
-    assert!(doc.contains("\"runs_failed\":0,"), "{doc}");
-
-    // The validation mode accepts its own output...
-    let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
-    assert!(out.status.success(), "check-metrics failed: {out:?}");
-    assert!(
-        stdout_of(&out).contains("metrics-valid"),
-        "{}",
-        stdout_of(&out)
-    );
-
-    // ...and rejects tampered fleet totals with exit 2.
-    let tampered = format!("\"runs_completed\":{},", n - 1);
-    std::fs::write(&metrics, doc.replacen(&completed, &tampered, 1)).unwrap();
-    let out = run_bin(sweep, &["--check-metrics", metrics.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "tampered metrics must fail");
-
-    let _ = std::fs::remove_file(&json);
-    let _ = std::fs::remove_file(&metrics);
-}
-
-#[test]
 fn profile_check_baseline_is_clean_against_fresh_baseline() {
     // `baseline` then `--check-baseline` against the file it just wrote
-    // must pass with zero tolerance: same grid, same determinism.
+    // must pass: same grid, same determinism, not one cycle moved.
     let profile = env!("CARGO_BIN_EXE_profile");
-    let json = tmp_file("baseline.json");
-    let out = run_bin(
-        profile,
-        &[
-            "baseline",
-            "--json",
-            json.to_str().unwrap(),
-            "--threads",
-            "2",
-        ],
+    let [one, two] = ["baseline-1.json", "baseline-2.json"].map(tmp_file);
+    for (json, threads) in [(&one, "1"), (&two, "2")] {
+        let out = run_bin(
+            profile,
+            &[
+                "baseline",
+                "--json",
+                json.to_str().unwrap(),
+                "--threads",
+                threads,
+            ],
+        );
+        assert!(out.status.success(), "baseline failed: {out:?}");
+        assert!(stdout_of(&out).contains("22 runs profiled"));
+    }
+    // Without host time the baseline is byte-identical at any thread count.
+    let (doc, read) = read_written(&two);
+    assert_eq!(std::fs::read_to_string(&one).unwrap(), doc);
+    assert!(
+        doc.starts_with(&format!("{}\"runs\":[{{", ver_prefix())),
+        "no threads or wall_seconds"
     );
-    assert!(out.status.success(), "baseline failed: {out:?}");
-    assert!(stdout_of(&out).contains("22 runs profiled"));
+    assert!(!doc.contains("wall_seconds"));
+    assert_eq!(read.runs.len(), 22);
+    assert!(read.runs.iter().all(|r| r.cost_tree.is_some()));
     let out = run_bin(
         profile,
-        &[
-            "--check-baseline",
-            json.to_str().unwrap(),
-            "--tolerance",
-            "0",
-            "--threads",
-            "2",
-        ],
+        &["--check-baseline", two.to_str().unwrap(), "--threads", "2"],
     );
     let text = stdout_of(&out);
-    let _ = std::fs::remove_file(&json);
+    for f in [&one, &two] {
+        let _ = std::fs::remove_file(f);
+    }
     assert!(
         out.status.success(),
         "fresh baseline must check clean: {text}"
     );
     assert!(text.contains("baseline check: CLEAN"), "{text}");
     assert!(text.contains("0 regressed"), "{text}");
+}
+
+/// Cost trees whose cycle counts sit at the edges of `u64` — a sum that
+/// wraps, totals 2^62 apart, a path delta of -2^63 — get an exit-2 error
+/// or a verdict from `profile diff`, never an arithmetic panic (101).
+#[test]
+fn profile_diff_survives_hostile_cycle_counts() {
+    use vic_bench::output::{run_doc, Sections};
+    use vic_bench::SystemSpec;
+    use vic_os::SystemKind;
+    use vic_profile::{CostTree, Seg};
+    use vic_workloads::WorkloadKind;
+
+    let spec = SystemSpec::quick(WorkloadKind::AliasAligned, SystemKind::Utah);
+    let real = spec.run();
+    let big = 1u64 << 63;
+    // Run documents whose `elapsed_cycles` is `total` and whose cost tree
+    // has one row per listed cycle count.
+    let cases: [(&str, u64, &[u64]); 4] = [
+        ("wrapped", 5, &[big, big, 5]),
+        ("2e62", 1 << 62, &[1 << 62]),
+        ("2e63", big, &[big]),
+        ("moved", big, &[0, big]),
+    ];
+    let files = cases.map(|(name, total, rows)| {
+        let mut tree = CostTree::new();
+        for (i, &cycles) in rows.iter().enumerate() {
+            let node = tree.child(0, Seg::Machine(["a", "b", "c"][i]));
+            tree.add(node, 1, cycles);
+        }
+        let mut stats = real.clone();
+        stats.cycles = total;
+        let sections = Sections {
+            cost_tree: Some(&tree),
+            ..Sections::default()
+        };
+        let path = tmp_file(&format!("hostile-{name}.json"));
+        std::fs::write(&path, run_doc(&spec, &stats, None, &sections)).unwrap();
+        path
+    });
+    for (base, new, code, says) in [
+        (0, 2, 2, "overflow"),
+        (2, 0, 2, "overflow"),
+        (1, 2, 1, "REGRESSED"),
+        (2, 1, 0, "faster"),
+        (2, 3, 0, "-9223372036854775808"),
+    ] {
+        let (a, b) = (files[base].to_str().unwrap(), files[new].to_str().unwrap());
+        let out = run_bin(env!("CARGO_BIN_EXE_profile"), &["diff", a, b]);
+        let text = stdout_of(&out) + &String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "diff {a} {b}:\n{text}");
+        assert!(text.contains(says), "diff {a} {b}:\n{text}");
+    }
+    for f in &files {
+        let _ = std::fs::remove_file(f);
+    }
 }

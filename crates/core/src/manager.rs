@@ -177,13 +177,6 @@ impl CauseCounts {
             .filter(|&(_, n)| n > 0)
     }
 
-    /// Add another set of counts into this one.
-    pub fn merge(&mut self, other: &CauseCounts) {
-        for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
-        }
-    }
-
     /// Serialize all eight counters.
     pub fn save_state(&self, w: &mut WordWriter) {
         for &c in &self.counts {
@@ -225,13 +218,6 @@ impl MgrStats {
     /// Total page purges across both caches.
     pub fn total_purges(&self) -> u64 {
         self.d_purge_pages.total() + self.i_purge_pages.total()
-    }
-
-    /// Merge another manager's statistics into this one.
-    pub fn merge(&mut self, other: &MgrStats) {
-        self.d_flush_pages.merge(&other.d_flush_pages);
-        self.d_purge_pages.merge(&other.d_purge_pages);
-        self.i_purge_pages.merge(&other.i_purge_pages);
     }
 
     /// Reset all counters to zero.
@@ -414,10 +400,6 @@ mod tests {
         assert_eq!(c.total(), 6);
         let pairs: Vec<_> = c.iter().collect();
         assert_eq!(pairs, vec![(OpCause::NewMapping, 4), (OpCause::DmaRead, 2)]);
-        let mut c2 = CauseCounts::default();
-        c2.add(OpCause::DmaRead, 5);
-        c.merge(&c2);
-        assert_eq!(c.get(OpCause::DmaRead), 7);
     }
 
     #[test]
@@ -428,9 +410,6 @@ mod tests {
         s.i_purge_pages.add(OpCause::TextCopy, 1);
         assert_eq!(s.total_flushes(), 2);
         assert_eq!(s.total_purges(), 4);
-        let mut t = MgrStats::default();
-        t.merge(&s);
-        assert_eq!(t, s);
         s.reset();
         assert_eq!(s.total_flushes() + s.total_purges(), 0);
     }

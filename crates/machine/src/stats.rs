@@ -30,12 +30,6 @@ impl OpStat {
         }
     }
 
-    /// Merge another counter into this one.
-    pub fn merge(&mut self, other: &OpStat) {
-        self.count += other.count;
-        self.cycles += other.cycles;
-    }
-
     /// Serialize both counters.
     pub fn save_state(&self, w: &mut WordWriter) {
         w.u64(self.count);
@@ -105,26 +99,6 @@ impl MachineStats {
         *self = MachineStats::default();
     }
 
-    /// Merge another set of counters into this one.
-    pub fn merge(&mut self, other: &MachineStats) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.ifetches += other.ifetches;
-        self.d_hits += other.d_hits;
-        self.d_misses += other.d_misses;
-        self.i_hits += other.i_hits;
-        self.i_misses += other.i_misses;
-        self.writebacks += other.writebacks;
-        self.uncached += other.uncached;
-        self.tlb_misses += other.tlb_misses;
-        self.d_flush_pages.merge(&other.d_flush_pages);
-        self.d_purge_pages.merge(&other.d_purge_pages);
-        self.i_purge_pages.merge(&other.i_purge_pages);
-        self.flush_writebacks += other.flush_writebacks;
-        self.dma_writes += other.dma_writes;
-        self.dma_reads += other.dma_reads;
-    }
-
     /// Serialize every counter, in declaration order.
     pub fn save_state(&self, w: &mut WordWriter) {
         w.u64(self.loads);
@@ -183,69 +157,17 @@ mod tests {
     }
 
     #[test]
-    fn merge() {
+    fn record_and_reset() {
         let mut a = MachineStats {
             loads: 5,
             ..MachineStats::default()
         };
         a.d_flush_pages.record(100);
-        let mut b = MachineStats {
-            loads: 3,
-            ..MachineStats::default()
-        };
-        b.d_flush_pages.record(50);
-        a.merge(&b);
-        assert_eq!(a.loads, 8);
+        a.d_flush_pages.record(50);
         assert_eq!(a.d_flush_pages.count, 2);
         assert_eq!(a.d_flush_pages.cycles, 150);
         a.reset();
         assert_eq!(a, MachineStats::default());
-    }
-
-    /// A stat struct with every field distinct and nonzero; merging it into
-    /// a default must reproduce it exactly, so a field forgotten in
-    /// `merge` shows up as an inequality here rather than as silently lost
-    /// counts in a report.
-    fn all_distinct() -> MachineStats {
-        MachineStats {
-            loads: 1,
-            stores: 2,
-            ifetches: 3,
-            d_hits: 4,
-            d_misses: 5,
-            i_hits: 6,
-            i_misses: 7,
-            writebacks: 8,
-            uncached: 9,
-            tlb_misses: 10,
-            d_flush_pages: OpStat {
-                count: 11,
-                cycles: 12,
-            },
-            d_purge_pages: OpStat {
-                count: 13,
-                cycles: 14,
-            },
-            i_purge_pages: OpStat {
-                count: 15,
-                cycles: 16,
-            },
-            flush_writebacks: 17,
-            dma_writes: 18,
-            dma_reads: 19,
-        }
-    }
-
-    #[test]
-    fn merge_covers_every_field() {
-        let src = all_distinct();
-        let mut dst = MachineStats::default();
-        dst.merge(&src);
-        assert_eq!(dst, src, "merge into empty must reproduce the source");
-        dst.merge(&src);
-        assert_eq!(dst.loads, 2 * src.loads);
-        assert_eq!(dst.dma_reads, 2 * src.dma_reads);
-        assert_eq!(dst.i_purge_pages.cycles, 2 * src.i_purge_pages.cycles);
     }
 
     #[test]
@@ -256,12 +178,5 @@ mod tests {
             cycles: 10,
         };
         assert_eq!(s.to_string(), "3 ops / 10 cycles (avg 3)");
-        let mut a = OpStat {
-            count: 1,
-            cycles: 7,
-        };
-        a.merge(&s);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.cycles, 17);
     }
 }

@@ -7,13 +7,12 @@
 //! charges no cycles, so enabling it cannot change a simulated result —
 //! the determinism tests assert exactly that.
 //!
-//! The collected samples become a [`TimeSeries`] document with plain,
-//! CSV, Markdown and JSON renderers; the `run --inspect <file>` flag
-//! picks the renderer from the file extension.
+//! The collected samples become a [`TimeSeries`] with plain, CSV and
+//! Markdown renderers; the `run --inspect <file>` flag picks the renderer
+//! from the file extension, and writes a `.json` file as the `series`
+//! section of a `vic-bench` run document.
 
-use vic_core::ENGINE_VERSION;
-
-use crate::snapshot::{json_str, MachineSnapshot};
+use crate::snapshot::MachineSnapshot;
 
 /// Records a [`MachineSnapshot`] every `every` simulated cycles.
 #[derive(Debug, Clone)]
@@ -33,11 +32,6 @@ impl SnapshotSampler {
             next_due: every,
             samples: Vec::new(),
         }
-    }
-
-    /// The configured interval.
-    pub fn interval(&self) -> u64 {
-        self.every
     }
 
     /// True when the clock has reached the next sample point. This is
@@ -61,7 +55,7 @@ impl SnapshotSampler {
         &self.samples
     }
 
-    /// Consume the sampler into a labelled [`TimeSeries`] document.
+    /// Consume the sampler into a labelled [`TimeSeries`].
     pub fn into_series(self, label: &str) -> TimeSeries {
         TimeSeries {
             label: label.to_string(),
@@ -71,7 +65,7 @@ impl SnapshotSampler {
     }
 }
 
-/// How to render a [`TimeSeries`].
+/// How to render a [`TimeSeries`] as text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesFormat {
     /// Fixed-width text table.
@@ -80,21 +74,17 @@ pub enum SeriesFormat {
     Csv,
     /// GitHub-flavoured Markdown table.
     Markdown,
-    /// One versioned JSON object.
-    Json,
 }
 
 impl SeriesFormat {
     /// Pick a format from a file name's extension: `.csv`, `.md` /
-    /// `.markdown`, `.json`, anything else plain text.
+    /// `.markdown`, anything else plain text.
     pub fn from_path(path: &str) -> Self {
         let lower = path.to_ascii_lowercase();
         if lower.ends_with(".csv") {
             SeriesFormat::Csv
         } else if lower.ends_with(".md") || lower.ends_with(".markdown") {
             SeriesFormat::Markdown
-        } else if lower.ends_with(".json") {
-            SeriesFormat::Json
         } else {
             SeriesFormat::Plain
         }
@@ -119,7 +109,6 @@ impl TimeSeries {
             SeriesFormat::Plain => self.render_plain(),
             SeriesFormat::Csv => self.render_csv(),
             SeriesFormat::Markdown => self.render_markdown(),
-            SeriesFormat::Json => self.render_json() + "\n",
         }
     }
 
@@ -197,25 +186,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// One versioned JSON object, full snapshots included (no trailing
-    /// newline).
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!(
-            "{{\"engine_version\":{ENGINE_VERSION},\"label\":{},\"every\":{},\"samples\":[",
-            json_str(&self.label),
-            self.every
-        );
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            s.json_into(&mut out);
-        }
-        let _ = write!(out, "]}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +213,7 @@ mod tests {
     #[test]
     fn zero_interval_clamps_to_one() {
         let s = SnapshotSampler::every(0);
-        assert_eq!(s.interval(), 1);
+        assert!(!s.due(0), "the first sample is due at cycle 1");
         assert!(s.due(1));
     }
 
@@ -268,21 +238,13 @@ mod tests {
         let md = ts.render(SeriesFormat::Markdown);
         assert!(md.starts_with("| cycle |"), "{md}");
         assert!(md.contains("| 100 |"), "{md}");
-
-        let json = ts.render(SeriesFormat::Json);
-        assert!(
-            json.starts_with(&format!("{{\"engine_version\":{ENGINE_VERSION},")),
-            "{json}"
-        );
-        assert!(json.contains("\"label\":\"afs-bench @ F\""), "{json}");
-        assert_eq!(json.matches("\"cycles\":").count(), 2, "{json}");
     }
 
     #[test]
     fn format_from_extension() {
         assert_eq!(SeriesFormat::from_path("a.csv"), SeriesFormat::Csv);
         assert_eq!(SeriesFormat::from_path("a.MD"), SeriesFormat::Markdown);
-        assert_eq!(SeriesFormat::from_path("a.json"), SeriesFormat::Json);
+        assert_eq!(SeriesFormat::from_path("a.json"), SeriesFormat::Plain);
         assert_eq!(SeriesFormat::from_path("a.txt"), SeriesFormat::Plain);
     }
 }

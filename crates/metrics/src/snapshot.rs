@@ -1,4 +1,4 @@
-//! Versioned point-in-time views of the simulated machine.
+//! Point-in-time views of the simulated machine.
 //!
 //! A snapshot is plain data produced by `Machine::inspect()` (the
 //! hardware view: caches, victim pointers, TLB) and `Kernel::inspect()`
@@ -8,10 +8,6 @@
 
 use vic_core::state::LineState;
 use vic_core::types::CacheKind;
-
-use vic_core::ENGINE_VERSION;
-
-use crate::json::push_str_escaped;
 
 /// One cache's occupancy at an instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,36 +46,6 @@ impl CacheSnapshot {
     pub fn dirty_ratio(&self) -> f64 {
         self.dirty_total() as f64 / (self.num_lines.max(1)) as f64
     }
-
-    fn json_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"kind\":\"{}\",\"num_lines\":{},\"associativity\":{},\"valid\":{},\"dirty\":{},\"pages\":[",
-            match self.kind {
-                CacheKind::Data => "data",
-                CacheKind::Insn => "insn",
-            },
-            self.num_lines,
-            self.associativity,
-            self.valid_total(),
-            self.dirty_total(),
-        );
-        for (i, (v, d)) in self.pages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{v},{d}]");
-        }
-        out.push_str("],\"victim_ways\":[");
-        for (i, n) in self.victim_ways.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{n}");
-        }
-        out.push_str("]}");
-    }
 }
 
 /// TLB residency at an instant.
@@ -89,13 +55,6 @@ pub struct TlbSnapshot {
     pub resident: u64,
     /// Hardware capacity.
     pub capacity: u64,
-}
-
-impl TlbSnapshot {
-    /// Fraction of TLB slots in use, in `[0, 1]`.
-    pub fn residency_ratio(&self) -> f64 {
-        self.resident as f64 / self.capacity.max(1) as f64
-    }
 }
 
 /// The hardware view: what `Machine::inspect()` returns.
@@ -109,28 +68,6 @@ pub struct MachineSnapshot {
     pub icache: CacheSnapshot,
     /// TLB residency.
     pub tlb: TlbSnapshot,
-}
-
-impl MachineSnapshot {
-    /// Render as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        self.json_into(&mut out);
-        out
-    }
-
-    pub(crate) fn json_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(out, "{{\"cycles\":{},\"dcache\":", self.cycles);
-        self.dcache.json_into(out);
-        out.push_str(",\"icache\":");
-        self.icache.json_into(out);
-        let _ = write!(
-            out,
-            ",\"tlb\":{{\"resident\":{},\"capacity\":{}}}}}",
-            self.tlb.resident, self.tlb.capacity
-        );
-    }
 }
 
 /// How many of a frame's cache pages sit in each consistency state,
@@ -162,13 +99,6 @@ impl PageStateCounts {
     pub fn total(&self) -> u64 {
         self.empty + self.present + self.dirty + self.stale
     }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"empty\":{},\"present\":{},\"dirty\":{},\"stale\":{}}}",
-            self.empty, self.present, self.dirty, self.stale
-        )
-    }
 }
 
 /// The full system view: what `Kernel::inspect()` returns — the hardware
@@ -184,60 +114,6 @@ pub struct SystemSnapshot {
     pub d_states: PageStateCounts,
     /// Instruction-side cache-page state counts over all tracked frames.
     pub i_states: PageStateCounts,
-}
-
-impl SystemSnapshot {
-    /// Render as one JSON object with a schema version (no trailing
-    /// newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        self.json_into(&mut out);
-        out
-    }
-
-    pub(crate) fn json_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(out, "{{\"engine_version\":{ENGINE_VERSION},\"machine\":");
-        self.machine.json_into(out);
-        let _ = write!(
-            out,
-            ",\"frames_tracked\":{},\"d_states\":{},\"i_states\":{}}}",
-            self.frames_tracked,
-            self.d_states.json(),
-            self.i_states.json()
-        );
-    }
-
-    /// A short human-readable summary line.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "cycle {}: D {:.1}% valid / {:.1}% dirty, I {:.1}% valid, TLB {}/{}",
-            self.machine.cycles,
-            100.0 * self.machine.dcache.occupancy_ratio(),
-            100.0 * self.machine.dcache.dirty_ratio(),
-            100.0 * self.machine.icache.occupancy_ratio(),
-            self.machine.tlb.resident,
-            self.machine.tlb.capacity,
-        );
-        if self.frames_tracked > 0 {
-            s.push_str(&format!(
-                "; {} frames tracked (D E/P/D/S {}/{}/{}/{})",
-                self.frames_tracked,
-                self.d_states.empty,
-                self.d_states.present,
-                self.d_states.dirty,
-                self.d_states.stale,
-            ));
-        }
-        s
-    }
-}
-
-/// Escape hatch used by the document renderers for free-form labels.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_str_escaped(&mut out, s);
-    out
 }
 
 /// A small fixed snapshot for tests across this crate.
@@ -280,46 +156,15 @@ mod tests {
         assert_eq!(m.dcache.valid_total(), 12);
         assert_eq!(m.dcache.dirty_total(), 2);
         assert!((m.dcache.occupancy_ratio() - 12.0 / 64.0).abs() < 1e-12);
-        assert!((m.tlb.residency_ratio() - 7.0 / 96.0).abs() < 1e-12);
     }
 
     #[test]
-    fn machine_json_shape() {
-        let j = sample(42).to_json();
-        assert!(
-            j.starts_with("{\"cycles\":42,\"dcache\":{\"kind\":\"data\""),
-            "{j}"
-        );
-        assert!(j.contains("\"pages\":[[8,2],[4,0]]"), "{j}");
-        assert!(j.contains("\"victim_ways\":[20,12]"), "{j}");
-        assert!(
-            j.contains("\"tlb\":{\"resident\":7,\"capacity\":96}"),
-            "{j}"
-        );
-    }
-
-    #[test]
-    fn system_json_is_versioned_and_counts_tally() {
+    fn page_states_tally() {
         let mut d = PageStateCounts::default();
         d.count(LineState::Dirty);
         d.count(LineState::Empty);
         d.count(LineState::Empty);
         assert_eq!(d.total(), 3);
-        let s = SystemSnapshot {
-            machine: sample(1),
-            frames_tracked: 2,
-            d_states: d,
-            i_states: PageStateCounts::default(),
-        };
-        let j = s.to_json();
-        assert!(
-            j.starts_with(&format!("{{\"engine_version\":{ENGINE_VERSION},")),
-            "{j}"
-        );
-        assert!(
-            j.contains("\"d_states\":{\"empty\":2,\"present\":0,\"dirty\":1,\"stale\":0}"),
-            "{j}"
-        );
-        assert!(s.summary().contains("2 frames tracked"), "{}", s.summary());
+        assert_eq!((d.empty, d.dirty), (2, 1));
     }
 }

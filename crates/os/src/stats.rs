@@ -98,27 +98,6 @@ impl OsStats {
         self.page_ins = r.u64()?;
         Ok(())
     }
-
-    /// Merge another set of counters.
-    pub fn merge(&mut self, o: &OsStats) {
-        self.mapping_faults += o.mapping_faults;
-        self.consistency_faults += o.consistency_faults;
-        self.zero_fills += o.zero_fills;
-        self.page_copies += o.page_copies;
-        self.ipc_transfers += o.ipc_transfers;
-        self.cow_faults += o.cow_faults;
-        self.cow_copies += o.cow_copies;
-        self.d2i_copies += o.d2i_copies;
-        self.fs_reads += o.fs_reads;
-        self.fs_writes += o.fs_writes;
-        self.buf_misses += o.buf_misses;
-        self.buf_writebacks += o.buf_writebacks;
-        self.tasks_created += o.tasks_created;
-        self.pages_allocated += o.pages_allocated;
-        self.pages_freed += o.pages_freed;
-        self.page_outs += o.page_outs;
-        self.page_ins += o.page_ins;
-    }
 }
 
 #[cfg(test)]
@@ -126,52 +105,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_and_reset() {
+    fn reset() {
         let mut a = OsStats {
             mapping_faults: 2,
-            ..OsStats::default()
-        };
-        let b = OsStats {
-            mapping_faults: 3,
             consistency_faults: 1,
             ..OsStats::default()
         };
-        a.merge(&b);
-        assert_eq!(a.mapping_faults, 5);
-        assert_eq!(a.consistency_faults, 1);
         a.reset();
         assert_eq!(a, OsStats::default());
-    }
-
-    #[test]
-    fn merge_covers_every_field() {
-        // Every field distinct and nonzero: merging into a default must
-        // reproduce the source exactly, so a field forgotten in `merge`
-        // fails this test instead of silently dropping counts.
-        let src = OsStats {
-            mapping_faults: 1,
-            consistency_faults: 2,
-            zero_fills: 3,
-            page_copies: 4,
-            ipc_transfers: 5,
-            cow_faults: 6,
-            cow_copies: 7,
-            d2i_copies: 8,
-            fs_reads: 9,
-            fs_writes: 10,
-            buf_misses: 11,
-            buf_writebacks: 12,
-            tasks_created: 13,
-            pages_allocated: 14,
-            pages_freed: 15,
-            page_outs: 16,
-            page_ins: 17,
-        };
-        let mut dst = OsStats::default();
-        dst.merge(&src);
-        assert_eq!(dst, src, "merge into empty must reproduce the source");
-        dst.merge(&src);
-        assert_eq!(dst.mapping_faults, 2 * src.mapping_faults);
-        assert_eq!(dst.page_ins, 2 * src.page_ins);
     }
 }

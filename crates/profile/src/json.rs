@@ -1,7 +1,8 @@
-//! A minimal JSON reader for profile documents.
+//! A minimal JSON reader for run documents.
 //!
-//! The workspace is dependency-free, so the `diff` and baseline-check
-//! paths need their own parser for the JSON that `vic-bench`'s writer
+//! The workspace is dependency-free, so the run-document reader in
+//! `vic-bench` (behind `sweep --cache`, `profile diff` and the baseline
+//! check) needs its own parser for the JSON that `vic-bench`'s writer
 //! emits. This is a straightforward recursive-descent parser for the full
 //! JSON grammar — small, strict, and with byte-offset error reporting.
 //! Numbers are held as `f64`, which is exact for every cycle count a run

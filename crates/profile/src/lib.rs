@@ -14,13 +14,12 @@
 //!   discipline as tracing.
 //! * [`CostTree`] — the accumulated hierarchy. Its total equals the
 //!   machine's cycle counter *exactly* (conservation: cycles enter the
-//!   tree at the same statements that bump the counter), and two trees
-//!   merge deterministically, so per-thread trees from a parallel sweep
-//!   fold into one.
-//! * [`ProfileDoc`] / [`DocDiff`] — the file format (written by
-//!   `vic_bench::output`, read back here with a dependency-free JSON
-//!   parser) and the differential comparison used by `profile diff` and
-//!   the CI baseline gate.
+//!   tree at the same statements that bump the counter).
+//! * [`DocDiff`] — the differential comparison of two sets of
+//!   [`ProfileRun`]s used by `profile diff` and the CI baseline gate. The
+//!   runs come from the `cost_tree` sections of `vic_bench` run
+//!   documents, read with the dependency-free [`parse_json`] parser that
+//!   lives here.
 //!
 //! The crate deliberately depends on nothing: the machine crate depends
 //! on it, not the other way around.
@@ -28,13 +27,11 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod doc;
 pub mod json;
 pub mod profiler;
 pub mod tree;
 
-pub use diff::{DocDiff, PathDelta, RunDiff};
-pub use doc::{ProfileDoc, ProfileRun};
+pub use diff::{DocDiff, PathDelta, ProfileRun, RunDiff};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use profiler::Profiler;
 pub use tree::{path_string, CostTree, FlatRow, Seg};

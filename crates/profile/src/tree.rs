@@ -1,5 +1,5 @@
-//! The mergeable cost tree: every simulated cycle attributed to a
-//! hierarchical key.
+//! The cost tree: every simulated cycle attributed to a hierarchical
+//! key.
 //!
 //! A tree node is addressed by a path of [`Seg`]ments — OS service spans,
 //! page-class spans, manager-decision spans, and finally the machine
@@ -10,10 +10,7 @@
 //!
 //! Children are kept in a `BTreeMap`, so iteration order — and therefore
 //! every flattened export — is deterministic regardless of the order in
-//! which paths first appeared. Merging two trees (per-thread trees from a
-//! parallel sweep, or repeated runs of one spec) folds node-by-node and is
-//! associative and commutative, which is what makes the fold independent
-//! of worker interleaving.
+//! which paths first appeared.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -135,27 +132,6 @@ impl CostTree {
     /// machine cycles elapsed while the profiler was enabled.
     pub fn total_cycles(&self) -> u64 {
         self.nodes.iter().map(|n| n.cycles).sum()
-    }
-
-    /// Fold another tree into this one, node by node. Associative and
-    /// commutative: folding per-thread trees in any order yields the same
-    /// tree.
-    pub fn merge(&mut self, other: &CostTree) {
-        self.merge_node(ROOT, other, ROOT);
-    }
-
-    fn merge_node(&mut self, dst: usize, other: &CostTree, src: usize) {
-        self.nodes[dst].count += other.nodes[src].count;
-        self.nodes[dst].cycles += other.nodes[src].cycles;
-        let children: Vec<(Seg, usize)> = other.nodes[src]
-            .children
-            .iter()
-            .map(|(s, i)| (*s, *i))
-            .collect();
-        for (seg, si) in children {
-            let di = self.child(dst, seg);
-            self.merge_node(di, other, si);
-        }
     }
 
     /// Visit every non-root node in deterministic (depth-first, segment-
@@ -288,36 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_independent() {
-        let a = build(&[(&[Seg::Machine("load.hit")], 5)]);
-        let b = build(&[
-            (&[Seg::Machine("load.hit")], 3),
-            (&[Seg::Os("fs.read"), Seg::Machine("store.hit")], 9),
-        ]);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.flatten(), ba.flatten());
-        assert_eq!(ab.total_cycles(), 17);
-        let hit = ab
-            .flatten()
-            .into_iter()
-            .find(|r| r.path == "machine:load.hit")
-            .unwrap();
-        assert_eq!(hit.cycles, 8, "leaf cycles fold");
-        assert_eq!(hit.count, 2, "leaf counts fold");
-    }
-
-    #[test]
     fn empty_tree() {
         let t = CostTree::new();
         assert!(t.is_empty());
         assert_eq!(t.total_cycles(), 0);
         assert!(t.flatten().is_empty());
-        let mut m = CostTree::new();
-        m.merge(&t);
-        assert!(m.is_empty());
     }
 
     #[test]

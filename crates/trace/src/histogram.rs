@@ -68,31 +68,6 @@ impl Histogram {
         self.total = self.total.saturating_add(cost);
     }
 
-    /// Fold another histogram into this one: bucket-wise counts add,
-    /// totals saturate like [`record`](Histogram::record), and min/max
-    /// widen to cover both sides. Merging an empty histogram is a
-    /// no-op; merging into an empty one copies the other side — so the
-    /// merge is associative and commutative, and per-thread histograms
-    /// fold to exactly what one thread recording every sample would
-    /// have produced.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += ob;
-        }
-        self.count += other.count;
-        self.total = self.total.saturating_add(other.total);
-    }
-
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -272,6 +247,7 @@ mod tests {
         h.record(1 << 20);
         assert_eq!(h.buckets()[NUM_BUCKETS - 1], 2);
         assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.total(), u64::MAX, "the total saturates");
         let (lo, hi) = Histogram::bucket_bounds(NUM_BUCKETS - 1);
         assert_eq!(lo, 1 << (NUM_BUCKETS - 1));
         assert_eq!(hi, u64::MAX);
@@ -325,61 +301,6 @@ mod tests {
         for q in [0.0, 0.5, 0.95, 1.0, -3.0, 7.0, f64::NAN] {
             assert_eq!(h.quantile_bound(q), 0, "q={q}");
         }
-    }
-
-    #[test]
-    fn merge_disjoint_bucket_ranges() {
-        // Low samples (buckets 0-2) merged with high samples (the
-        // saturating last bucket): counts land bucket-wise, nothing
-        // smears between the disjoint ranges, and min/max widen to
-        // cover both sides.
-        let mut low = Histogram::new();
-        for c in [0, 1, 3, 6] {
-            low.record(c);
-        }
-        let mut high = Histogram::new();
-        high.record(1 << 15);
-        high.record(u64::MAX);
-        let mut merged = low.clone();
-        merged.merge(&high);
-        assert_eq!(merged.count(), 6);
-        assert_eq!(merged.buckets()[0], 2);
-        assert_eq!(merged.buckets()[1], 1);
-        assert_eq!(merged.buckets()[2], 1);
-        assert_eq!(merged.buckets()[NUM_BUCKETS - 1], 2);
-        assert_eq!(
-            merged.buckets().iter().sum::<u64>(),
-            merged.count(),
-            "no sample lost or duplicated"
-        );
-        assert_eq!(merged.min(), 0);
-        assert_eq!(merged.max(), u64::MAX);
-        assert_eq!(merged.total(), low.total().saturating_add(high.total()));
-        // The high tail now dominates the upper quantiles.
-        assert_eq!(
-            merged.quantile_bound(1.0),
-            Histogram::bucket_bounds(NUM_BUCKETS - 1).1
-        );
-        // Commutes: merging the other way gives the identical value.
-        let mut other_way = high.clone();
-        other_way.merge(&low);
-        assert_eq!(merged, other_way);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        for c in [5, 9, 200] {
-            h.record(c);
-        }
-        let snapshot = h.clone();
-        h.merge(&Histogram::new());
-        assert_eq!(h, snapshot, "merging an empty histogram changes nothing");
-        let mut empty = Histogram::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty, snapshot, "merging into an empty one copies");
-        // min stays honest even when no sample was ever 0.
-        assert_eq!(empty.min(), 5);
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //!   that replays a trace against the abstract four-state model);
 //! * [`vic_metrics`] (as `metrics`) — the observability layer (live
 //!   [`Machine::inspect`](vic_machine::Machine::inspect) snapshots, the
-//!   cycle-driven occupancy sampler, sharded run metrics with a
-//!   commutative merge, progress/ETA reporting, and the flight-recorder
-//!   post-mortem format);
+//!   cycle-driven occupancy sampler and progress/ETA reporting; the
+//!   snapshot and series are sections of `vic-bench`'s run document);
 //! * [`vic_profile`] (as `profile`) — the cycle-cost attribution profiler
-//!   (hierarchical cost trees keyed to the simulated clock, profile
-//!   documents, differential comparison for the perf-regression baseline);
+//!   (hierarchical cost trees keyed to the simulated clock, the JSON
+//!   parser the run-document reader sits on, and the differential
+//!   comparison behind the perf-regression baseline);
 //! * [`vic_sample`] (as `sample`) — the flattened run-counter vector the
 //!   repository benchmark digests.
 

@@ -10,12 +10,12 @@ use std::sync::{Arc, Mutex};
 use vic_core::types::CpuId;
 
 use vic::core::policy::Configuration;
-use vic::metrics::{MetricsShard, ProgressReporter};
+use vic::metrics::ProgressReporter;
 use vic::os::{Kernel, KernelConfig, SystemKind};
 use vic::trace::{JsonLinesSink, RingBufferSink, Tracer};
 use vic::workloads::{run_observed, run_traced, RunStats, WorkloadKind};
 use vic_bench::experiments::measured_specs;
-use vic_bench::output::run_json;
+use vic_bench::output::{read_doc, run_json, sweep_json};
 use vic_bench::sweep::{run_sweep, Sweep};
 use vic_bench::SystemSpec;
 
@@ -201,52 +201,38 @@ fn observability_changes_nothing_observable() {
 
 /// A plain sweep of `specs` on `threads` workers.
 fn sweep(specs: &[SystemSpec], threads: usize) -> Sweep {
-    run_sweep(specs, threads, &ProgressReporter::disabled(), |s, _| {
-        s.run()
-    })
+    run_sweep(
+        specs,
+        threads,
+        &ProgressReporter::disabled(),
+        SystemSpec::run,
+    )
 }
 
-/// The counters and gauges of a merged shard as an owned comparable
-/// value (histograms are compared separately so the host-time-dependent
-/// `host_ns_per_run` one can be excluded).
-fn simulated_metrics(m: &MetricsShard) -> MetricsShard {
-    let mut sim = MetricsShard::new();
-    for (k, v) in m.counters() {
-        sim.add(k, v);
-    }
-    for (k, v) in m.gauges() {
-        sim.gauge_max(k, v);
-    }
-    sim
-}
-
-/// Per-worker shards merge commutatively, so the fleet telemetry of a
-/// sweep — every counter, gauge, and the simulated-cycle
-/// histogram — is identical whichever of 1/2/4/16 workers ran which
-/// spec. Only the host-nanosecond histogram may differ.
+/// A sweep's fleet telemetry is its sweep document: it lists every
+/// completed run with its counters and cycles, and every failed spec, so
+/// runs completed and failed and cycles retired are read off it. Without
+/// the host-time fields the document is byte-identical whichever of
+/// 1/2/4/16 workers ran which spec.
 #[test]
 fn observed_sweep_metrics_are_thread_count_independent() {
     let specs = small_grid();
     let base = sweep(&specs, 1);
     assert!(base.failures.is_empty());
-    assert_eq!(
-        base.metrics.counter("runs_completed"),
-        specs.len() as u64,
-        "every run counted"
-    );
-    let base_hist = base.metrics.histogram("sim_cycles_per_run").unwrap();
+    let base_doc = sweep_json(&base, false);
+    let fleet = read_doc(&base_doc).expect("the sweep document reads back");
+    assert!(fleet.failures.is_empty());
+    assert_eq!(fleet.runs.len(), specs.len(), "every run listed");
+    for (listed, res) in fleet.runs.iter().zip(&base.results) {
+        assert_eq!((listed.spec, &listed.stats), (res.spec, &res.out));
+    }
     for threads in [2, 4, 16] {
         let obs = sweep(&specs, threads);
         assert!(obs.failures.is_empty());
         assert_eq!(
-            simulated_metrics(&obs.metrics),
-            simulated_metrics(&base.metrics),
-            "counters/gauges differ at {threads} threads"
-        );
-        assert_eq!(
-            obs.metrics.histogram("sim_cycles_per_run").unwrap(),
-            base_hist,
-            "sim-cycle histogram differs at {threads} threads"
+            sweep_json(&obs, false),
+            base_doc,
+            "sweep document differs at {threads} threads"
         );
         for (a, b) in base.results.iter().zip(&obs.results) {
             assert_eq!(a.spec, b.spec, "order preserved at {threads} threads");
