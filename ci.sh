@@ -19,6 +19,13 @@ cargo build --workspace --release --offline
 echo "=== cargo test ==="
 cargo test --workspace --release --offline -q
 
+echo "=== cargo test (debug) ==="
+# The same suites under the debug profile, where the managers'
+# debug_assert!s and integer-overflow checks are live: the exhaustive and
+# property tests, the checkpoint round trips and the binary contracts run
+# against them only here.
+cargo test --workspace --offline -q
+
 echo "=== cargo clippy -D warnings ==="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

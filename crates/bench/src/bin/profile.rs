@@ -65,7 +65,7 @@ fn main() {
     };
     match cli {
         ProfileCli::Report { spec, format, json } => {
-            let (stats, tree) = spec.run_profiled();
+            let (stats, tree) = profile::profiled(&spec);
             assert_eq!(
                 tree.total_cycles(),
                 stats.cycles,

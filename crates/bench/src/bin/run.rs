@@ -24,9 +24,9 @@ use std::sync::{Arc, Mutex};
 use vic_bench::checkpoint::SystemCheckpoint;
 use vic_bench::cli::{self, RunCli, RunMode, SYSTEM_NAMES, WORKLOAD_NAMES};
 use vic_bench::output::{self, Sections};
-use vic_core::serial::{WordReader, WordWriter};
 use vic_core::types::CpuId;
-use vic_metrics::SeriesFormat;
+use vic_machine::Observers;
+use vic_metrics::{SeriesFormat, SnapshotSampler};
 use vic_os::Kernel;
 use vic_trace::{
     ConsistencyAuditor, FanoutSink, HistogramSink, JsonLinesSink, RingBufferSink, Tracer,
@@ -97,19 +97,29 @@ fn main() {
         }
     };
 
-    // Resolve the mode: a fresh boot takes its spec from the command
-    // line; a restore reads the checkpoint first (spec and fast-path
-    // setting travel inside it).
-    let (spec, fast_paths, resume) = match &mode {
-        RunMode::Fresh(spec) => (*spec, !no_fast_paths, None),
-        RunMode::Restore(path) => match SystemCheckpoint::load(path) {
-            Ok(cp) => (cp.spec, cp.fast_paths, Some(cp)),
-            Err(e) => {
-                eprintln!("run: {e}");
-                std::process::exit(2);
-            }
-        },
+    // Build the system: a fresh boot takes its spec from the command
+    // line; a restore reads the checkpoint and rebuilds the paused kernel
+    // and workload cursor from it (spec and fast-path setting travel
+    // inside it).
+    let restore_error = |e: String| -> ! {
+        eprintln!("run: {e}");
+        std::process::exit(2);
     };
+    let (spec, mut k, mut cur) = match &mode {
+        RunMode::Fresh(spec) => {
+            let mut cfg = spec.kernel_config();
+            cfg.machine.fast_paths = !no_fast_paths;
+            (*spec, Kernel::new(cfg), Cursor::new())
+        }
+        RunMode::Restore(path) => {
+            let cp = SystemCheckpoint::load(path).unwrap_or_else(|e| restore_error(e.to_string()));
+            let (k, cur) = cp
+                .resume()
+                .unwrap_or_else(|e| restore_error(format!("cannot access '{path}': {e}")));
+            (cp.spec, k, cur)
+        }
+    };
+    let resumed = matches!(mode, RunMode::Restore(_));
 
     // Assemble the trace pipeline: a JSON-lines file and/or an in-process
     // histogram aggregator, always joined by the consistency auditor when
@@ -122,7 +132,7 @@ fn main() {
     // of assuming cold caches.
     let tracing = trace.is_some() || trace_summary || flight.is_some();
     let hist = Arc::new(Mutex::new(HistogramSink::new()));
-    let auditor = Arc::new(Mutex::new(if resume.is_some() {
+    let auditor = Arc::new(Mutex::new(if resumed {
         ConsistencyAuditor::resumed()
     } else {
         ConsistencyAuditor::new()
@@ -151,50 +161,17 @@ fn main() {
         Tracer::off()
     };
 
-    // Build the system: a fresh kernel, optionally overwritten with the
-    // checkpointed state. Observers attach *after* the restore — they are
-    // never part of a checkpoint (DESIGN.md, "State ownership &
-    // serialization") and always start fresh.
-    let mut cfg = spec.kernel_config();
-    cfg.machine.fast_paths = fast_paths;
-    let mut k = Kernel::new(cfg);
-    let mut cur = Cursor::new();
-    if let Some(cp) = resume {
-        let path = match &mode {
-            RunMode::Restore(p) => p.as_str(),
-            RunMode::Fresh(_) => unreachable!("resume implies restore mode"),
-        };
-        let mut r = WordReader::new(&cp.state);
-        if let Err(e) = k.restore_state(&mut r).and_then(|()| r.finish()) {
-            eprintln!("run: cannot access '{path}': corrupt kernel state: {e}");
-            std::process::exit(2);
-        }
-        let mut r = WordReader::new(&cp.cursor);
-        cur = match Cursor::restore_state(&mut r).and_then(|c| r.finish().map(|()| c)) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("run: cannot access '{path}': corrupt workload cursor: {e}");
-                std::process::exit(2);
-            }
-        };
-        if k.machine().cycles() != cp.cycle {
-            eprintln!(
-                "run: cannot access '{path}': checkpoint says cycle {} but the restored \
-                 machine is at {}",
-                cp.cycle,
-                k.machine().cycles()
-            );
-            std::process::exit(2);
-        }
-    }
-    k.set_tracer(tracer);
-    let sample = inspect
+    // Observers attach *after* a restore — they are never part of a
+    // checkpoint (DESIGN.md, "State ownership & serialization") and
+    // always start fresh.
+    let sampler = inspect
         .as_ref()
-        .map(|_| sample_every.unwrap_or(cli::DEFAULT_SAMPLE_EVERY));
-    if let Some(every) = sample {
-        k.machine_mut()
-            .set_sampler(vic_metrics::SnapshotSampler::every(every));
-    }
+        .map(|_| SnapshotSampler::every(sample_every.unwrap_or(cli::DEFAULT_SAMPLE_EVERY)));
+    k.machine_mut().attach(Observers {
+        tracer,
+        sampler,
+        ..Observers::default()
+    });
 
     // Drive the stepwise workload — to completion, or to the requested
     // checkpoint cycle. The stop check is a step boundary, so the paused
@@ -205,7 +182,8 @@ fn main() {
     let t0 = std::time::Instant::now();
     let outcome = drive(&mut k, CpuId::BOOT, step.as_ref(), &mut cur, pause_at);
     let wall = t0.elapsed();
-    k.machine_mut().tracer_mut().finish();
+    let mut observers = k.machine_mut().detach();
+    observers.tracer.finish();
     if let (Some(path), Some(sink)) = (&trace, &json_lines) {
         if let Some(e) = sink.lock().expect("trace sink poisoned").io_error() {
             eprintln!("run: cannot access '{path}': {e}");
@@ -213,10 +191,7 @@ fn main() {
         }
     }
     let snapshot = k.inspect();
-    let series = k
-        .machine_mut()
-        .take_sampler()
-        .map(|s| s.into_series(step.name()));
+    let series = observers.sampler.map(|s| s.into_series(step.name()));
     let result: Result<DriveOutcome, String> =
         outcome.map_err(|e| format!("workload {} failed: {e}", step.name()));
     let s = vic_workloads::runner::collect(&k, step.name());
@@ -258,18 +233,7 @@ fn main() {
             let (at, file) = checkpoint
                 .as_ref()
                 .expect("drive pauses only at a requested checkpoint cycle");
-            let mut w = WordWriter::new();
-            k.save_state(&mut w);
-            let state = w.into_words();
-            let mut w = WordWriter::new();
-            cur.save_state(&mut w);
-            let cp = SystemCheckpoint {
-                spec,
-                fast_paths,
-                cycle: k.machine().cycles(),
-                state,
-                cursor: w.into_words(),
-            };
+            let cp = SystemCheckpoint::capture(spec, &k, &cur);
             write_or_die("run", file, &(cp.to_json() + "\n"));
             println!(
                 "checkpoint: paused at cycle {} (requested {at}); system image written to \

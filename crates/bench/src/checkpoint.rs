@@ -26,17 +26,20 @@
 //! ```
 //!
 //! The word streams are encoded as comma-joined lowercase-hex tokens with
-//! run-length compression (`value*count` for a repeated word). JSON
-//! numbers are `f64` in the reader, so 64-bit words cannot travel as
-//! numbers; hex strings keep every bit and the RLE keeps zero-heavy
-//! memory images compact. Observers (tracer, profiler, sampler) are
+//! run-length compression (`value*count` for a repeated word): a memory
+//! image is millions of mostly-zero words, which as a JSON array of
+//! numbers would be tens of megabytes, while the RLE keeps it compact and
+//! hex keeps every bit. Observers ([`vic_machine::Observers`]) are
 //! *never* part of a checkpoint — see DESIGN.md "State ownership &
 //! serialization".
 
 use std::fmt::Write as _;
 
+use vic_core::serial::{WordReader, WordWriter};
 use vic_core::ENGINE_VERSION;
+use vic_os::Kernel;
 use vic_profile::JsonValue;
+use vic_workloads::Cursor;
 
 use crate::cli::{read_file, CliError};
 use crate::digest::spec_from_json;
@@ -61,6 +64,56 @@ pub struct SystemCheckpoint {
 }
 
 impl SystemCheckpoint {
+    /// Capture the system paused at a step boundary: kernel `k`, built
+    /// from `spec`, and the workload's cursor `cur`. The fast-path setting
+    /// and the cycle come from the kernel's machine.
+    pub fn capture(spec: SystemSpec, k: &Kernel, cur: &Cursor) -> Self {
+        let mut w = WordWriter::new();
+        k.save_state(&mut w);
+        let state = w.into_words();
+        let mut w = WordWriter::new();
+        cur.save_state(&mut w);
+        SystemCheckpoint {
+            spec,
+            fast_paths: k.machine().config().fast_paths,
+            cycle: k.machine().cycles(),
+            state,
+            cursor: w.into_words(),
+        }
+    }
+
+    /// Rebuild the paused system: a fresh kernel from the spec with the
+    /// kernel state restored into it, and the workload cursor. Driving the
+    /// pair on is the rest of the original run. Observers are not part of
+    /// a checkpoint; attach fresh ones to the returned kernel.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the stream that failed to restore (each must also
+    /// be consumed exactly), or a restored clock that disagrees with
+    /// `cycle`.
+    pub fn resume(&self) -> Result<(Kernel, Cursor), String> {
+        let mut cfg = self.spec.kernel_config();
+        cfg.machine.fast_paths = self.fast_paths;
+        let mut k = Kernel::new(cfg);
+        let mut r = WordReader::new(&self.state);
+        k.restore_state(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(|e| format!("corrupt kernel state: {e}"))?;
+        let mut r = WordReader::new(&self.cursor);
+        let cur = Cursor::restore_state(&mut r)
+            .and_then(|c| r.finish().map(|()| c))
+            .map_err(|e| format!("corrupt workload cursor: {e}"))?;
+        if k.machine().cycles() != self.cycle {
+            return Err(format!(
+                "checkpoint says cycle {} but the restored machine is at {}",
+                self.cycle,
+                k.machine().cycles()
+            ));
+        }
+        Ok((k, cur))
+    }
+
     /// Serialize to the versioned JSON document.
     pub fn to_json(&self) -> String {
         JsonObj::new()

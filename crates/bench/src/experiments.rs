@@ -10,10 +10,10 @@ use std::fmt::{self, Write as _};
 
 use vic_core::manager::OpCause;
 use vic_core::policy::Configuration;
-use vic_machine::MachineConfig;
+use vic_machine::{MachineConfig, Observers};
 use vic_os::{KernelConfig, SystemKind};
 use vic_workloads::report::{pct, secs, thousands, Table};
-use vic_workloads::{run_with_config, KernelBuild, RunStats, WorkloadKind};
+use vic_workloads::{run, KernelBuild, RunStats, WorkloadKind};
 
 use crate::spec::SystemSpec;
 use crate::sweep::SweepResult;
@@ -458,10 +458,10 @@ pub fn colored_free_lists_ablation(grid: &Grid) -> (RunStats, RunStats) {
     let w = KernelBuild::quick();
     let mut base_cfg = KernelConfig::small(sys);
     base_cfg.machine = MachineConfig::hp720();
-    let single = run_with_config(base_cfg, &w);
+    let (single, _) = run(base_cfg, &w, Observers::default());
     let mut colored_cfg = base_cfg;
     colored_cfg.colored_free_lists = true;
-    let colored = run_with_config(colored_cfg, &w);
+    let (colored, _) = run(colored_cfg, &w, Observers::default());
     (single, colored)
 }
 

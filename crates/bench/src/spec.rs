@@ -12,11 +12,9 @@
 //! describes its runs as specs; the duplicated ad-hoc construction logic
 //! they used to carry lives here now.
 
-use vic_machine::WritePolicy;
+use vic_machine::{Observers, WritePolicy};
 use vic_os::{KernelConfig, SystemKind};
-use vic_profile::CostTree;
-use vic_trace::Tracer;
-use vic_workloads::{run_profiled, run_traced, RunStats, Workload, WorkloadKind};
+use vic_workloads::{run, RunStats, WorkloadKind};
 
 use vic_core::policy::Configuration;
 
@@ -75,31 +73,18 @@ impl SystemSpec {
         cfg
     }
 
-    /// Build the workload driver (fresh per run; drivers are stateless).
-    pub fn build_workload(&self) -> Box<dyn Workload> {
-        self.workload.build(self.quick)
-    }
-
-    /// Execute the run, untraced. Deterministic: the same spec always
+    /// Execute the run, unobserved. Deterministic: the same spec always
     /// returns the same [`RunStats`].
     pub fn run(&self) -> RunStats {
-        self.run_traced(Tracer::off())
+        self.run_with(Observers::default()).0
     }
 
-    /// Execute the run with a live tracer attached. Tracing changes no
-    /// statistic and no cycle count.
-    pub fn run_traced(&self, tracer: Tracer) -> RunStats {
-        run_traced(self.kernel_config(), self.build_workload().as_ref(), tracer)
-    }
-
-    /// Execute the run with the cycle-cost profiler attached. The returned
-    /// [`CostTree`]'s total equals the run's cycle count exactly.
-    pub fn run_profiled(&self) -> (RunStats, CostTree) {
-        run_profiled(
-            self.kernel_config(),
-            self.build_workload().as_ref(),
-            Tracer::off(),
-        )
+    /// Execute the run with `observers` attached, and return them with
+    /// what they collected. Observing changes no statistic and no cycle
+    /// count.
+    pub fn run_with(&self, observers: Observers) -> (RunStats, Observers) {
+        let workload = self.workload.build_step(self.quick);
+        run(self.kernel_config(), workload.as_ref(), observers)
     }
 
     /// A short one-line label (`workload @ system [+knobs]`).

@@ -10,9 +10,9 @@
 //!
 //! Why words and not bytes or JSON values? Most simulator state *is*
 //! 64-bit counters, addresses and indices; a word stream round-trips
-//! them exactly (JSON numbers are `f64` and lose precision past 2^53),
-//! and the repetitive structure compresses well under the run-length
-//! hex encoding the checkpoint file format applies on top.
+//! them exactly with no per-field schema, and the repetitive structure
+//! compresses well under the run-length hex encoding the checkpoint file
+//! format applies on top.
 //!
 //! Misaligned reads are the classic failure mode of schema-less formats,
 //! so structs bracket their state with [`WordWriter::tag`] /
@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use crate::types::{Mapping, Prot, SpaceId, VPage};
+use crate::types::{Mapping, PFrame, Prot, SpaceId, VPage};
 
 /// An error while decoding a word stream: the stream was truncated, or a
 /// value failed validation. Always indicates a corrupt or incompatible
@@ -217,6 +217,19 @@ impl<'a> WordReader<'a> {
         Ok(out)
     }
 
+    /// Read a physical frame number of a memory with `frames` frames;
+    /// errors if the frame lies past that memory.
+    pub fn frame(&mut self, frames: u64) -> Result<PFrame, SerialError> {
+        let at = self.pos;
+        match self.next()? {
+            f if f < frames => Ok(PFrame(f)),
+            _ => Err(SerialError::Corrupt {
+                at,
+                what: "frame past physical memory",
+            }),
+        }
+    }
+
     /// Read a virtual mapping written by [`WordWriter::mapping`].
     pub fn mapping(&mut self) -> Result<Mapping, SerialError> {
         let space = SpaceId(self.u32()?);
@@ -325,7 +338,7 @@ mod tests {
 
     #[test]
     fn corrupt_values_are_typed() {
-        let words = [u64::MAX, 5];
+        let words = [u64::MAX, 5, 255, 256];
         let mut r = WordReader::new(&words);
         assert!(matches!(
             r.u32(),
@@ -337,6 +350,12 @@ mod tests {
                 at: 1,
                 what: "bool"
             })
+        ));
+        // A frame must lie inside a memory of the given size.
+        assert_eq!(r.frame(256), Ok(PFrame(255)));
+        assert!(matches!(
+            r.frame(256),
+            Err(SerialError::Corrupt { at: 3, .. })
         ));
     }
 

@@ -586,8 +586,14 @@ impl Cache {
     }
 
     /// Restore contents saved by [`Cache::save_state`] into a cache built
-    /// with the identical geometry.
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    /// with the identical geometry, in front of a memory of `phys_lines`
+    /// lines. A tag past that memory is [`SerialError::Corrupt`]: a fill
+    /// or write-back would address bytes the memory does not have.
+    pub fn restore_state(
+        &mut self,
+        r: &mut WordReader,
+        phys_lines: u64,
+    ) -> Result<(), SerialError> {
         r.expect(CACHE_STATE_TAG)?;
         let at = r.position();
         if r.usize()? != self.lines.len() {
@@ -600,11 +606,18 @@ impl Cache {
             let at = r.position();
             l.valid = r.bool()?;
             l.dirty = r.bool()?;
-            l.ptag = r.u64()?;
             if l.dirty && !l.valid {
                 return Err(SerialError::Corrupt {
                     at,
                     what: "dirty invalid line",
+                });
+            }
+            let at = r.position();
+            l.ptag = r.u64()?;
+            if l.ptag >= phys_lines {
+                return Err(SerialError::Corrupt {
+                    at,
+                    what: "cache tag past physical memory",
                 });
             }
         }

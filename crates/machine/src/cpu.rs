@@ -83,16 +83,26 @@ impl Cpu {
     }
 
     /// Restore state saved by [`Cpu::save_state`] into a CPU built with
-    /// the identical configuration. The translation micro-cache is
+    /// the identical configuration `cfg`. The translation micro-cache is
     /// cleared; the next access repopulates it through a free TLB hit, so
     /// clearing is observationally identical to having kept it.
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    ///
+    /// # Errors
+    ///
+    /// A [`SerialError`] if the stream is truncated or corrupt, including
+    /// a cache tag or page-table frame past `cfg`'s physical memory.
+    pub fn restore_state(
+        &mut self,
+        r: &mut WordReader,
+        cfg: &MachineConfig,
+    ) -> Result<(), SerialError> {
         r.expect(CPU_STATE_TAG)?;
         self.cycles = r.u64()?;
         self.stats.restore_state(r)?;
-        self.dcache.restore_state(r)?;
-        self.icache.restore_state(r)?;
-        self.mmu.restore_state(r)?;
+        let lines = cfg.mem_bytes / cfg.line_size;
+        self.dcache.restore_state(r, lines)?;
+        self.icache.restore_state(r, lines)?;
+        self.mmu.restore_state(r, cfg.num_frames())?;
         self.xlate_cache = None;
         Ok(())
     }

@@ -71,7 +71,7 @@ pub mod stats;
 pub use config::{MachineConfig, WritePolicy};
 pub use cost::CycleCosts;
 pub use cpu::Cpu;
-pub use machine::{Fault, Machine};
+pub use machine::{Fault, Machine, Observers};
 pub use oracle::{Oracle, Violation};
 pub use shared::SharedState;
 pub use stats::{MachineStats, OpStat};

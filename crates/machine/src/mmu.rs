@@ -197,8 +197,9 @@ impl Mmu {
     }
 
     /// Restore state saved by [`Mmu::save_state`] into an MMU with the
-    /// same TLB capacity.
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    /// same TLB capacity, in front of a memory of `frames` frames. A
+    /// translation to a frame past that memory is [`SerialError::Corrupt`].
+    pub fn restore_state(&mut self, r: &mut WordReader, frames: u64) -> Result<(), SerialError> {
         r.expect(MMU_STATE_TAG)?;
         self.tables.clear();
         self.tlb.clear();
@@ -210,7 +211,7 @@ impl Mmu {
             let table: &mut FxHashMap<VPage, Pte> = self.tables.entry(space).or_default();
             for _ in 0..n {
                 let vp = VPage(r.u64()?);
-                table.insert(vp, restore_pte(r)?);
+                table.insert(vp, restore_pte(r, frames)?);
             }
         }
         let at = r.position();
@@ -223,7 +224,7 @@ impl Mmu {
         }
         for _ in 0..resident {
             let m = r.mapping()?;
-            let pte = restore_pte(r)?;
+            let pte = restore_pte(r, frames)?;
             self.tlb.insert(m, pte);
             self.tlb_fifo.push_back(m);
         }
@@ -237,9 +238,9 @@ fn save_pte(w: &mut WordWriter, pte: &Pte) {
     w.bool(pte.uncached);
 }
 
-fn restore_pte(r: &mut WordReader) -> Result<Pte, SerialError> {
+fn restore_pte(r: &mut WordReader, frames: u64) -> Result<Pte, SerialError> {
     Ok(Pte {
-        frame: PFrame(r.u64()?),
+        frame: r.frame(frames)?,
         prot: r.prot()?,
         uncached: r.bool()?,
     })

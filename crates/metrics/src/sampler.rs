@@ -1,7 +1,8 @@
 //! Cycle-driven snapshot sampling and the time-series document.
 //!
-//! A [`SnapshotSampler`] lives inside the machine (as an `Option`, `None`
-//! by default) and is ticked at operation boundaries: when the simulated
+//! A [`SnapshotSampler`] attaches to the machine as one of its observers
+//! (`vic_machine::Observers::sampler`, `None` by default) and is ticked
+//! at operation boundaries: when the simulated
 //! clock has crossed the next due point, the machine hands it a fresh
 //! [`MachineSnapshot`]. The sampler never writes machine state and
 //! charges no cycles, so enabling it cannot change a simulated result —

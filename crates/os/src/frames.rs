@@ -128,8 +128,10 @@ impl FrameTable {
     }
 
     /// Restore state saved by [`FrameTable::save_state`] into a table with
-    /// the same color and frame counts.
+    /// the same color and frame counts. A free frame past the table is
+    /// [`SerialError::Corrupt`].
     pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+        let frames = self.refs.len() as u64;
         let at = r.position();
         let colors = r.usize()?;
         if colors != self.free.len() {
@@ -142,7 +144,7 @@ impl FrameTable {
             list.clear();
             let n = r.usize()?;
             for _ in 0..n {
-                list.push(PFrame(r.u64()?));
+                list.push(r.frame(frames)?);
             }
         }
         let at = r.position();

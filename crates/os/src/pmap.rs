@@ -107,8 +107,9 @@ impl Pmap {
     /// the machine's tracer is live: the manager's per-page consistency
     /// state is snapshotted around the call and every cache-page state
     /// transition (with the hardware operations that accompanied it) is
-    /// emitted as a [`vic_trace::TraceEvent::Transition`]. With tracing off
-    /// this is exactly one virtual call — no snapshots, no allocation.
+    /// emitted as a [`vic_trace::TraceEvent::Transition`]. With nothing
+    /// attached this is one branch and one virtual call — no snapshots,
+    /// no allocation.
     fn dispatch(
         &mut self,
         machine: &mut Machine,
@@ -118,12 +119,18 @@ impl Pmap {
         hints: AccessHints,
         f: impl FnOnce(&mut dyn ConsistencyManager, &mut dyn ConsistencyHw),
     ) {
+        let Some(o) = machine.observers() else {
+            f(self.mgr.as_mut(), &mut HwAdapter::new(machine));
+            return;
+        };
         // Every hardware operation the manager performs is attributed to
         // the manager decision that caused it.
-        machine.profiler_mut().push(Seg::Mgr(op.name()));
-        if !machine.tracer().is_enabled() {
+        o.profiler.push(Seg::Mgr(op.name()));
+        if !o.tracer.is_enabled() {
             f(self.mgr.as_mut(), &mut HwAdapter::new(machine));
-            machine.profiler_mut().pop();
+            if let Some(o) = machine.observers() {
+                o.profiler.pop();
+            }
             return;
         }
         let before = self.mgr.observed_page(frame).cloned();
@@ -134,11 +141,14 @@ impl Pmap {
             f(self.mgr.as_mut(), &mut rec);
             rec.into_log()
         };
-        machine.profiler_mut().pop();
+        let cycle = machine.cycles();
+        let Some(o) = machine.observers() else {
+            return;
+        };
+        o.profiler.pop();
         if let (Some(before), Some(after)) = (before, self.mgr.observed_page(frame)) {
-            let cycle = machine.cycles();
             emit_transitions(
-                machine.tracer_mut(),
+                &mut o.tracer,
                 cycle,
                 frame,
                 geom,
@@ -296,15 +306,16 @@ impl Pmap {
     }
 
     /// Restore state saved by [`Pmap::save_state`] into a pmap built with
-    /// the same manager kind and geometry.
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    /// the same manager kind and geometry, over `frames` physical frames;
+    /// a mapping to a frame past them is [`SerialError::Corrupt`].
+    pub fn restore_state(&mut self, r: &mut WordReader, frames: u64) -> Result<(), SerialError> {
         r.expect(PMAP_STATE_TAG)?;
         self.mgr.restore_state(r)?;
         let n = r.usize()?;
         self.mappings.clear();
         for _ in 0..n {
             let m = r.mapping()?;
-            let frame = PFrame(r.u64()?);
+            let frame = r.frame(frames)?;
             let logical = r.prot()?;
             self.mappings.insert(m, (frame, logical));
         }

@@ -98,15 +98,16 @@ impl UnixServer {
         w.u64(self.next_fixed);
     }
 
-    /// Restore state saved by [`UnixServer::save_state`].
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
-        self.task.restore_state(r)?;
+    /// Restore state saved by [`UnixServer::save_state`]; every page it
+    /// holds must lie in one of `frames` physical frames.
+    pub fn restore_state(&mut self, r: &mut WordReader, frames: u64) -> Result<(), SerialError> {
+        self.task.restore_state(r, frames)?;
         let n = r.usize()?;
         self.channels.clear();
         for _ in 0..n {
             let client = r.u32()?;
             let ch = Channel {
-                frame: PFrame(r.u64()?),
+                frame: r.frame(frames)?,
                 client_vp: VPage(r.u64()?),
                 server_vp: VPage(r.u64()?),
             };

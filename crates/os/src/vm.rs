@@ -146,10 +146,11 @@ impl VmEntry {
         }
     }
 
-    /// Restore one entry saved by [`VmEntry::save_state`].
-    pub fn restore_state(r: &mut WordReader) -> Result<Self, SerialError> {
+    /// Restore one entry saved by [`VmEntry::save_state`], resident in
+    /// one of `frames` physical frames if it is resident at all.
+    pub fn restore_state(r: &mut WordReader, frames: u64) -> Result<Self, SerialError> {
         let frame = if r.bool()? {
-            Some(PFrame(r.u64()?))
+            Some(r.frame(frames)?)
         } else {
             None
         };
@@ -348,13 +349,14 @@ impl Task {
 
     /// Restore state saved by [`Task::save_state`], replacing this task's
     /// space and map (the alignment modulus is configuration and is kept).
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    /// Resident pages must lie in one of `frames` physical frames.
+    pub fn restore_state(&mut self, r: &mut WordReader, frames: u64) -> Result<(), SerialError> {
         self.space = SpaceId(r.u32()?);
         let n = r.usize()?;
         self.entries.clear();
         for _ in 0..n {
             let vp = VPage(r.u64()?);
-            self.entries.insert(vp, VmEntry::restore_state(r)?);
+            self.entries.insert(vp, VmEntry::restore_state(r, frames)?);
         }
         Ok(())
     }

@@ -5,8 +5,8 @@
 //! check) needs its own parser for the JSON that `vic-bench`'s writer
 //! emits. This is a straightforward recursive-descent parser for the full
 //! JSON grammar — small, strict, and with byte-offset error reporting.
-//! Numbers are held as `f64`, which is exact for every cycle count a run
-//! can produce (they are far below 2^53).
+//! An unsigned integer token that fits a `u64` is held exactly, so every
+//! counter round-trips bit for bit; every other number is an `f64`.
 //!
 //! The parser recurses once per `[` / `{`, so nesting is capped at 128
 //! levels: a hostile file of brackets gets a [`JsonError`] instead of
@@ -25,7 +25,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// An unsigned integer token that fits a `u64`, held exactly.
+    UInt(u64),
+    /// Any other number.
     Num(f64),
     /// A string (escapes resolved).
     Str(String),
@@ -63,16 +65,20 @@ impl JsonValue {
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::UInt(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The numeric payload as an unsigned integer (must be a whole
-    /// non-negative number).
+    /// The numeric payload as an unsigned integer: an integer token that
+    /// fits a `u64`, or a whole non-negative number below 2^64 written
+    /// with a fraction or an exponent.
     pub fn as_u64(&self) -> Option<u64> {
+        // `u64::MAX as f64` rounds up to 2^64 itself, which is out of range.
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::UInt(n) => Some(*n),
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -360,6 +366,9 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::UInt(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("malformed number"))
@@ -433,6 +442,15 @@ mod tests {
         assert_eq!(parse_json("1.5").unwrap().as_u64(), None);
         assert_eq!(parse_json("-1").unwrap().as_u64(), None);
         assert_eq!(parse_json("0").unwrap().as_u64(), Some(0));
+        // Integers are exact across the whole u64 range, not rounded
+        // through f64, and one past it is out of range.
+        let u = |text: &str| parse_json(text).unwrap().as_u64();
+        assert_eq!(u("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(u("18446744073709551614"), Some(u64::MAX - 1));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("18446744073709551616"), None);
+        assert_eq!(u("1.8446744073709552e19"), None);
+        assert_eq!(u("1e3"), Some(1000));
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! under a specific manager. This crate makes that attribution a live,
 //! queryable artifact instead of a set of scattered counters:
 //!
-//! * [`Profiler`] — the handle the machine owns. Layers open spans around
-//!   their work (the kernel around fault service and preparation, the
-//!   pmap around each manager dispatch) and the machine charges each
-//!   cycle-costing operation as a leaf under the innermost span. Disabled
-//!   (the default), every site is one branch — the same zero-cost
-//!   discipline as tracing.
+//! * [`Profiler`] — the handle the machine's observers hold. Layers open
+//!   spans around their work (the kernel around fault service and
+//!   preparation, the pmap around each manager dispatch) and the machine
+//!   charges each cycle-costing operation as a leaf under the innermost
+//!   span. Disabled (the default), every site is one branch — the same
+//!   zero-cost discipline as tracing.
 //! * [`CostTree`] — the accumulated hierarchy. Its total equals the
 //!   machine's cycle counter *exactly* (conservation: cycles enter the
 //!   tree at the same statements that bump the counter).

@@ -1,4 +1,5 @@
-//! The profiler handle the machine owns: a span stack over a [`CostTree`].
+//! The profiler handle the machine's observers hold: a span stack over a
+//! [`CostTree`].
 //!
 //! Same discipline as tracing: when disabled, every `push`/`pop`/`leaf`
 //! site is exactly one `Option` branch — no allocation, no hashing, no
@@ -107,11 +108,6 @@ impl Profiler {
         self.leaf(op, 0);
     }
 
-    /// The accumulated tree, if enabled.
-    pub fn tree(&self) -> Option<&CostTree> {
-        self.state.as_ref().map(|st| &st.tree)
-    }
-
     /// Take the accumulated tree, leaving the profiler disabled.
     pub fn take_tree(&mut self) -> Option<CostTree> {
         self.state.take().map(|st| st.tree)
@@ -140,7 +136,6 @@ mod tests {
         p.push(Seg::Os("fs.read"));
         p.leaf("load.hit", 5);
         p.pop();
-        assert!(p.tree().is_none());
         assert!(p.take_tree().is_none());
     }
 

@@ -5,8 +5,10 @@
 //! `MachineStats` aggregates — the profiler is an exact decomposition of
 //! the numbers the tables already report, not a sampled approximation.
 
+use vic_bench::profile::profiled;
 use vic_bench::SystemSpec;
 use vic_core::policy::Configuration;
+use vic_machine::Observers;
 use vic_os::SystemKind;
 use vic_profile::Seg;
 use vic_workloads::WorkloadKind;
@@ -28,7 +30,7 @@ fn every_cycle_attributed_across_the_grid() {
         SystemSpec::quick(WorkloadKind::AliasUnaligned, SystemKind::Sun),
     ];
     for spec in specs {
-        let (stats, tree) = spec.run_profiled();
+        let (stats, tree) = profiled(&spec);
         let label = spec.label();
 
         // The tentpole invariant: the tree is a partition of the run.
@@ -82,7 +84,7 @@ fn profiling_changes_no_statistic() {
     // A profiled run and an unprofiled run of the same spec are the
     // same simulation: identical RunStats, bit for bit.
     let spec = SystemSpec::quick(WorkloadKind::Afs, SystemKind::Cmu(Configuration::F));
-    let (profiled, _tree) = spec.run_profiled();
+    let (profiled, _tree) = profiled(&spec);
     let plain = spec.run();
     assert_eq!(profiled, plain, "the probe must not disturb the experiment");
 }
@@ -95,15 +97,17 @@ fn conservation_holds_with_fast_paths_off() {
     // same stats and the identical flattened cost tree, and every cycle
     // is still attributed exactly once.
     let spec = SystemSpec::quick(WorkloadKind::Afs, SystemKind::Cmu(Configuration::F));
-    let (fast_stats, fast_tree) = spec.run_profiled();
+    let (fast_stats, fast_tree) = profiled(&spec);
 
     let mut cfg = spec.kernel_config();
     cfg.machine.fast_paths = false;
-    let (slow_stats, slow_tree) = vic_workloads::run_profiled(
-        cfg,
-        spec.build_workload().as_ref(),
-        vic_trace::Tracer::off(),
-    );
+    let observers = Observers {
+        profiler: vic_profile::Profiler::enabled(),
+        ..Observers::default()
+    };
+    let workload = spec.workload.build_step(spec.quick);
+    let (slow_stats, mut observers) = vic_workloads::run(cfg, workload.as_ref(), observers);
+    let slow_tree = observers.profiler.take_tree().expect("profiled");
     assert_eq!(fast_stats, slow_stats, "stats differ with fast paths off");
     assert_eq!(slow_tree.total_cycles(), slow_stats.cycles);
     assert_eq!(
@@ -123,7 +127,7 @@ fn consistency_work_is_separated_from_user_work() {
         WorkloadKind::AliasUnaligned,
         SystemKind::Cmu(Configuration::A),
     );
-    let (stats, tree) = spec.run_profiled();
+    let (stats, tree) = profiled(&spec);
     let mgr_cycles = tree.cycles_where(|path| path.iter().any(|s| matches!(s, Seg::Mgr(_))));
     assert!(
         mgr_cycles > 0,

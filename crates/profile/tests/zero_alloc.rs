@@ -1,15 +1,15 @@
 //! The zero-cost-when-disabled guarantee, enforced with a counting
-//! global allocator: with the profiler off (the default), the machine's
-//! access hot path — loads, stores, ifetches, including misses and
-//! writebacks — performs **zero heap allocations**. The disabled
-//! profiler is one `Option` discriminant test per span site, nothing
-//! more.
+//! global allocator: with no observers attached (the default), the
+//! machine's access hot path — loads, stores, ifetches, including misses
+//! and writebacks — performs **zero heap allocations**. Nothing attached
+//! is one `Option` test per access, and a disabled profiler one per span
+//! site, nothing more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vic_core::types::{Mapping, PFrame, Prot, SpaceId, VPage};
-use vic_machine::{Machine, MachineConfig};
+use vic_machine::{Machine, MachineConfig, Observers};
 use vic_profile::Profiler;
 
 struct CountingAlloc;
@@ -78,7 +78,7 @@ fn steady_state_machine() -> (Machine, SpaceId, Vec<vic_core::types::VAddr>) {
 #[test]
 fn disabled_profiler_allocates_nothing_on_the_access_path() {
     let (mut m, sp, vas) = steady_state_machine();
-    assert!(!m.profiler().is_enabled(), "off is the default");
+    assert!(m.observers().is_none(), "nothing is attached by default");
 
     let (allocs, _) = allocations_during(|| {
         for round in 0..64u32 {
@@ -157,7 +157,10 @@ fn enabled_profiler_reaches_steady_state_too() {
     // accesses allocates nothing either — the arena only grows on new
     // paths.
     let (mut m, sp, vas) = steady_state_machine();
-    m.set_profiler(Profiler::enabled());
+    m.attach(Observers {
+        profiler: Profiler::enabled(),
+        ..Observers::default()
+    });
     // One full round builds the needed nodes.
     for &va in &vas {
         m.store(sp, va, 1).unwrap();

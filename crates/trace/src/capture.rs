@@ -222,7 +222,7 @@ mod tests {
         after.cache_dirty = true;
 
         let ring = Arc::new(Mutex::new(RingBufferSink::new(16)));
-        let mut t = Tracer::shared(ring.clone());
+        let mut t = Tracer::new(ring.clone());
         emit_transitions(
             &mut t,
             5,

@@ -17,8 +17,9 @@
 //! single `Option` check: tracing off changes no result and no statistic.
 //! The tracer owns its sink (`Box<dyn TraceSink + Send>`), so a machine —
 //! and the whole simulated system built on it — is a single owned `Send`
-//! value that can run on any thread; keep an `Arc<Mutex<S>>` handle (see
-//! [`Tracer::shared`]) when a sink must be inspected after the run.
+//! value that can run on any thread; keep an `Arc<Mutex<S>>` handle and
+//! give the tracer a clone ([`TraceSink`] is implemented for it) when a
+//! sink must be inspected after the run.
 //!
 //! Sinks provided here:
 //!
@@ -28,7 +29,7 @@
 //! * [`JsonLinesSink`] — one JSON object per line to any writer;
 //! * [`ConsistencyAuditor`] — replays transitions against the paper's
 //!   abstract four-state model and flags divergences;
-//! * [`FanoutSink`] / [`NullSink`] — plumbing.
+//! * [`FanoutSink`] — plumbing.
 
 #![warn(missing_docs)]
 
@@ -44,4 +45,4 @@ pub use capture::{emit_transitions, HwLog, HwRecorder};
 pub use event::{MgrOp, TraceEvent};
 pub use histogram::{Histogram, HistogramSink, NUM_BUCKETS};
 pub use sinks::{JsonLinesSink, RingBufferSink};
-pub use tracer::{FanoutSink, NullSink, TraceSink, Tracer};
+pub use tracer::{FanoutSink, TraceSink, Tracer};

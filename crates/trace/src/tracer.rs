@@ -12,8 +12,8 @@
 //! can move to any thread — the property the parallel sweep runner in
 //! `vic-bench` builds on. When a caller needs to inspect a sink *after* a
 //! run (read a histogram, collect auditor divergences), it keeps an
-//! [`Arc<Mutex<S>>`] handle and hands the tracer a clone via
-//! [`Tracer::shared`]; the lock is uncontended in a single-threaded run.
+//! [`Arc<Mutex<S>>`] handle and hands the tracer a clone through
+//! [`Tracer::new`]; the lock is uncontended in a single-threaded run.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -39,15 +39,6 @@ impl<S: TraceSink + ?Sized> TraceSink for Arc<Mutex<S>> {
     fn finish(&mut self) {
         self.lock().expect("trace sink poisoned").finish();
     }
-}
-
-/// A sink that discards everything — the explicit form of "tracing off",
-/// useful where an API requires *some* sink.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _cycle: u64, _event: &TraceEvent) {}
 }
 
 /// Forward every event to several sinks (e.g. a JSON file *and* the
@@ -84,8 +75,9 @@ impl TraceSink for FanoutSink {
     }
 }
 
-/// The emission handle. The machine owns exactly one; the kernel and the
-/// pmap emit through the machine, so all layers feed one stream.
+/// The emission handle. The machine's observers hold exactly one; the
+/// kernel and the pmap emit through the machine, so all layers feed one
+/// stream.
 #[derive(Default)]
 pub struct Tracer {
     sink: Option<Box<dyn TraceSink + Send>>,
@@ -97,17 +89,10 @@ impl Tracer {
         Tracer { sink: None }
     }
 
-    /// A tracer owning a fresh sink.
+    /// A tracer owning `sink`. Pass an [`Arc<Mutex<S>>`] clone to keep
+    /// the other handle and inspect the sink (read the histogram, collect
+    /// auditor divergences) after the run.
     pub fn new<S: TraceSink + Send + 'static>(sink: S) -> Self {
-        Tracer {
-            sink: Some(Box::new(sink)),
-        }
-    }
-
-    /// A tracer forwarding to an externally held sink, so the caller can
-    /// inspect it (read the histogram, collect auditor divergences) after
-    /// the run.
-    pub fn shared<S: TraceSink + Send + 'static>(sink: Arc<Mutex<S>>) -> Self {
         Tracer {
             sink: Some(Box::new(sink)),
         }
@@ -132,11 +117,6 @@ impl Tracer {
         if let Some(sink) = &mut self.sink {
             sink.finish();
         }
-    }
-
-    /// Take the sink back out, leaving the tracer disconnected.
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
-        self.sink.take()
     }
 }
 
@@ -174,7 +154,6 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit(1, TraceEvent::ZeroFill { frame: PFrame(0) });
         t.finish();
-        assert!(t.take_sink().is_none());
     }
 
     #[test]
@@ -187,7 +166,7 @@ mod tests {
     #[test]
     fn shared_sink_is_inspectable_after_the_run() {
         let sink = Arc::new(Mutex::new(Counting::default()));
-        let mut t = Tracer::shared(sink.clone());
+        let mut t = Tracer::new(sink.clone());
         t.emit(1, TraceEvent::ZeroFill { frame: PFrame(0) });
         t.emit(2, TraceEvent::ZeroFill { frame: PFrame(1) });
         t.finish();
@@ -205,14 +184,5 @@ mod tests {
         assert_eq!(a.lock().unwrap().events, 1);
         assert_eq!(b.lock().unwrap().events, 1);
         assert!(a.lock().unwrap().finished && b.lock().unwrap().finished);
-    }
-
-    #[test]
-    fn owned_sink_can_be_taken_back() {
-        let mut t = Tracer::new(Counting::default());
-        t.emit(7, TraceEvent::ZeroFill { frame: PFrame(0) });
-        let sink = t.take_sink().expect("sink present");
-        assert!(!t.is_enabled());
-        drop(sink);
     }
 }

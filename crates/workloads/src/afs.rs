@@ -259,8 +259,9 @@ impl StepWorkload for AfsBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_on, MachineSize};
+    use crate::runner::plain;
     use vic_core::policy::Configuration;
+    use vic_os::KernelConfig;
     use vic_os::SystemKind;
 
     #[test]
@@ -269,7 +270,7 @@ mod tests {
             SystemKind::Cmu(Configuration::A),
             SystemKind::Cmu(Configuration::F),
         ] {
-            let s = run_on(sys, MachineSize::Small, &AfsBench::quick());
+            let s = plain(KernelConfig::small(sys), &AfsBench::quick());
             assert_eq!(s.oracle_violations, 0, "{sys:?}");
             assert!(s.os.fs_reads > 0 && s.os.fs_writes > 0);
             assert!(s.machine.dma_reads > 0, "write-behind reached the disk");
@@ -278,14 +279,12 @@ mod tests {
 
     #[test]
     fn new_system_is_faster_with_fewer_ops() {
-        let old = run_on(
-            SystemKind::Cmu(Configuration::A),
-            MachineSize::Small,
+        let old = plain(
+            KernelConfig::small(SystemKind::Cmu(Configuration::A)),
             &AfsBench::quick(),
         );
-        let new = run_on(
-            SystemKind::Cmu(Configuration::F),
-            MachineSize::Small,
+        let new = plain(
+            KernelConfig::small(SystemKind::Cmu(Configuration::F)),
             &AfsBench::quick(),
         );
         assert!(
@@ -301,8 +300,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let sys = SystemKind::Cmu(Configuration::F);
-        let a = run_on(sys, MachineSize::Small, &AfsBench::quick());
-        let b = run_on(sys, MachineSize::Small, &AfsBench::quick());
+        let a = plain(KernelConfig::small(sys), &AfsBench::quick());
+        let b = plain(KernelConfig::small(sys), &AfsBench::quick());
         assert_eq!(a.cycles, b.cycles);
     }
 }

@@ -96,15 +96,16 @@ impl StepWorkload for AliasLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_on, MachineSize};
+    use crate::runner::plain;
     use vic_core::policy::Configuration;
+    use vic_os::KernelConfig;
     use vic_os::SystemKind;
 
     #[test]
     fn aligned_is_dramatically_faster() {
         let sys = SystemKind::Cmu(Configuration::F);
-        let aligned = run_on(sys, MachineSize::Small, &AliasLoop::quick(true));
-        let unaligned = run_on(sys, MachineSize::Small, &AliasLoop::quick(false));
+        let aligned = plain(KernelConfig::small(sys), &AliasLoop::quick(true));
+        let unaligned = plain(KernelConfig::small(sys), &AliasLoop::quick(false));
         assert_eq!(aligned.oracle_violations, 0);
         assert_eq!(unaligned.oracle_violations, 0);
         let ratio = unaligned.cycles as f64 / aligned.cycles as f64;
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn aligned_loop_causes_no_cache_ops() {
         let sys = SystemKind::Cmu(Configuration::F);
-        let s = run_on(sys, MachineSize::Small, &AliasLoop::quick(true));
+        let s = plain(KernelConfig::small(sys), &AliasLoop::quick(true));
         assert_eq!(s.total_flushes() + s.total_purges(), 0);
     }
 
@@ -125,7 +126,7 @@ mod tests {
     fn unaligned_loop_flushes_per_crossing() {
         let sys = SystemKind::Cmu(Configuration::F);
         let w = AliasLoop::quick(false);
-        let s = run_on(sys, MachineSize::Small, &w);
+        let s = plain(KernelConfig::small(sys), &w);
         // Every switch between the two addresses flushes the dirty page:
         // about one flush per iteration.
         assert!(

@@ -132,8 +132,9 @@ impl StepWorkload for ForkBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_on, MachineSize};
+    use crate::runner::plain;
     use vic_core::policy::Configuration;
+    use vic_os::KernelConfig;
     use vic_os::SystemKind;
 
     #[test]
@@ -144,7 +145,7 @@ mod tests {
             SystemKind::Utah,
             SystemKind::Sun,
         ] {
-            let s = run_on(sys, MachineSize::Small, &ForkBench::quick());
+            let s = plain(KernelConfig::small(sys), &ForkBench::quick());
             assert_eq!(s.oracle_violations, 0, "{sys:?}");
             assert!(s.os.cow_faults > 0, "{sys:?}: COW faults happened");
         }
@@ -153,9 +154,8 @@ mod tests {
     #[test]
     fn cow_copies_bounded_by_writes() {
         // Only written pages are copied; reads never copy.
-        let s = run_on(
-            SystemKind::Cmu(Configuration::F),
-            MachineSize::Small,
+        let s = plain(
+            KernelConfig::small(SystemKind::Cmu(Configuration::F)),
             &ForkBench::quick(),
         );
         let w = ForkBench::quick();
@@ -166,14 +166,12 @@ mod tests {
 
     #[test]
     fn new_system_wins_on_forks() {
-        let old = run_on(
-            SystemKind::Cmu(Configuration::A),
-            MachineSize::Hp720,
+        let old = plain(
+            KernelConfig::new(SystemKind::Cmu(Configuration::A)),
             &ForkBench::paper(),
         );
-        let new = run_on(
-            SystemKind::Cmu(Configuration::F),
-            MachineSize::Hp720,
+        let new = plain(
+            KernelConfig::new(SystemKind::Cmu(Configuration::F)),
             &ForkBench::paper(),
         );
         assert!(

@@ -243,9 +243,10 @@ impl StepWorkload for KernelBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_on, MachineSize};
+    use crate::runner::plain;
     use vic_core::manager::OpCause;
     use vic_core::policy::Configuration;
+    use vic_os::KernelConfig;
     use vic_os::SystemKind;
 
     #[test]
@@ -254,7 +255,7 @@ mod tests {
             SystemKind::Cmu(Configuration::A),
             SystemKind::Cmu(Configuration::F),
         ] {
-            let s = run_on(sys, MachineSize::Small, &KernelBuild::quick());
+            let s = plain(KernelConfig::small(sys), &KernelBuild::quick());
             assert_eq!(s.oracle_violations, 0, "{sys:?}");
             assert!(s.os.d2i_copies > 0, "exec copied text pages");
             assert!(s.os.tasks_created as u32 >= KernelBuild::quick().units);
@@ -267,9 +268,8 @@ mod tests {
         // new mappings (random frames off the free list). Run on the full
         // HP 720 geometry — the 4-cache-page test geometry makes accidental
         // alignment far too common to show the effect.
-        let s = run_on(
-            SystemKind::Cmu(Configuration::F),
-            MachineSize::Hp720,
+        let s = plain(
+            KernelConfig::new(SystemKind::Cmu(Configuration::F)),
             &KernelBuild::quick(),
         );
         let purges = &s.mgr.d_purge_pages;
@@ -283,14 +283,12 @@ mod tests {
 
     #[test]
     fn improvement_old_to_new() {
-        let old = run_on(
-            SystemKind::Cmu(Configuration::A),
-            MachineSize::Small,
+        let old = plain(
+            KernelConfig::small(SystemKind::Cmu(Configuration::A)),
             &KernelBuild::quick(),
         );
-        let new = run_on(
-            SystemKind::Cmu(Configuration::F),
-            MachineSize::Small,
+        let new = plain(
+            KernelConfig::small(SystemKind::Cmu(Configuration::F)),
             &KernelBuild::quick(),
         );
         assert!(new.cycles < old.cycles);

@@ -174,8 +174,9 @@ impl StepWorkload for LatexBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_on, MachineSize};
+    use crate::runner::plain;
     use vic_core::policy::Configuration;
+    use vic_os::KernelConfig;
     use vic_os::SystemKind;
 
     #[test]
@@ -184,7 +185,7 @@ mod tests {
             SystemKind::Cmu(Configuration::A),
             SystemKind::Cmu(Configuration::F),
         ] {
-            let s = run_on(sys, MachineSize::Small, &LatexBench::quick());
+            let s = plain(KernelConfig::small(sys), &LatexBench::quick());
             assert_eq!(s.oracle_violations, 0, "{sys:?}");
         }
     }
@@ -193,9 +194,9 @@ mod tests {
     fn cpu_bound_gain_is_smaller_than_afs() {
         // The relative improvement old->new should be smaller for the
         // CPU-bound workload than for the file-intensive one.
-        let gain = |w: &dyn crate::runner::Workload| {
-            let old = run_on(SystemKind::Cmu(Configuration::A), MachineSize::Small, w);
-            let new = run_on(SystemKind::Cmu(Configuration::F), MachineSize::Small, w);
+        let gain = |w: &dyn StepWorkload| {
+            let old = plain(KernelConfig::small(SystemKind::Cmu(Configuration::A)), w);
+            let new = plain(KernelConfig::small(SystemKind::Cmu(Configuration::F)), w);
             new.gain_over(&old)
         };
         let latex_gain = gain(&LatexBench::quick());

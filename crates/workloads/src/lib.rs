@@ -22,21 +22,28 @@
 //! Every driver issues the same *kinds* of kernel operations as the paper's
 //! Unix programs did: the measured consistency traffic (flushes, purges,
 //! mapping and consistency faults) emerges from the kernel paths, not from
-//! scripted counts. The [`runner`] module runs a workload under a selected
-//! [`SystemKind`](vic_os::SystemKind) and collects a [`RunStats`].
+//! scripted counts. [`run`] runs a workload under a selected
+//! [`SystemKind`](vic_os::SystemKind), with any [`Observers`] attached,
+//! and collects a [`RunStats`].
 //!
 //! ## Example: old versus new on one benchmark
 //!
 //! ```
 //! use vic_core::policy::Configuration;
-//! use vic_os::SystemKind;
-//! use vic_workloads::{run_on, AfsBench, MachineSize};
+//! use vic_machine::Observers;
+//! use vic_os::{KernelConfig, SystemKind};
+//! use vic_workloads::{run, AfsBench};
 //!
-//! let old = run_on(SystemKind::Cmu(Configuration::A), MachineSize::Small, &AfsBench::quick());
-//! let new = run_on(SystemKind::Cmu(Configuration::F), MachineSize::Small, &AfsBench::quick());
+//! let afs = |c| {
+//!     let cfg = KernelConfig::small(SystemKind::Cmu(c));
+//!     run(cfg, &AfsBench::quick(), Observers::default()).0
+//! };
+//! let (old, new) = (afs(Configuration::A), afs(Configuration::F));
 //! assert!(new.cycles < old.cycles, "the paper's system wins");
 //! assert_eq!(new.oracle_violations, 0);
 //! ```
+//!
+//! [`Observers`]: vic_machine::Observers
 
 pub mod afs;
 pub mod alias;
@@ -53,9 +60,6 @@ pub use alias::AliasLoop;
 pub use fork::ForkBench;
 pub use kbuild::KernelBuild;
 pub use latex::LatexBench;
-pub use runner::{
-    collect, run_observed, run_on, run_profiled, run_traced, run_with_config, MachineSize,
-    Observed, RunStats, Workload,
-};
+pub use runner::{collect, run, RunStats};
 pub use spec::WorkloadKind;
 pub use step::{drive, Cursor, DriveOutcome, StepWorkload};

@@ -1,12 +1,11 @@
 //! A value-level description of *which* benchmark to run.
 //!
-//! [`WorkloadKind`] is the `Copy` twin of the [`Workload`] trait objects:
-//! it can sit in a spec, travel across threads, be compared, printed and
-//! parsed — and it builds the actual driver only at the point of use (the
-//! drivers themselves never need to be `Send`). This is what lets a sweep
-//! describe hundreds of runs as plain data.
+//! [`WorkloadKind`] is the `Copy` twin of the [`StepWorkload`] trait
+//! objects: it can sit in a spec, travel across threads, be compared,
+//! printed and parsed — and it builds the actual driver only at the point
+//! of use (the drivers themselves never need to be `Send`). This is what
+//! lets a sweep describe hundreds of runs as plain data.
 
-use crate::runner::Workload;
 use crate::step::StepWorkload;
 use crate::{AfsBench, AliasLoop, ForkBench, KernelBuild, LatexBench};
 
@@ -64,28 +63,8 @@ impl WorkloadKind {
     }
 
     /// Build the driver at paper scale, or the quick variant used by the
-    /// fast test/CI paths.
-    pub fn build(self, quick: bool) -> Box<dyn Workload> {
-        match (self, quick) {
-            (WorkloadKind::Afs, false) => Box::new(AfsBench::paper()),
-            (WorkloadKind::Afs, true) => Box::new(AfsBench::quick()),
-            (WorkloadKind::Latex, false) => Box::new(LatexBench::paper()),
-            (WorkloadKind::Latex, true) => Box::new(LatexBench::quick()),
-            (WorkloadKind::KernelBuild, false) => Box::new(KernelBuild::paper()),
-            (WorkloadKind::KernelBuild, true) => Box::new(KernelBuild::quick()),
-            (WorkloadKind::Fork, false) => Box::new(ForkBench::paper()),
-            (WorkloadKind::Fork, true) => Box::new(ForkBench::quick()),
-            (WorkloadKind::AliasAligned, false) => Box::new(AliasLoop::paper(true)),
-            (WorkloadKind::AliasAligned, true) => Box::new(AliasLoop::quick(true)),
-            (WorkloadKind::AliasUnaligned, false) => Box::new(AliasLoop::paper(false)),
-            (WorkloadKind::AliasUnaligned, true) => Box::new(AliasLoop::quick(false)),
-        }
-    }
-
-    /// Build the driver as a resumable state machine (the checkpointable
-    /// form — see [`crate::step`]). Same drivers, same scales as
-    /// [`WorkloadKind::build`]; a run driven stepwise is operation-for-
-    /// operation identical to one run through the [`Workload`] trait.
+    /// fast test/CI paths, as a resumable state machine (see
+    /// [`crate::step`]).
     pub fn build_step(self, quick: bool) -> Box<dyn StepWorkload> {
         match (self, quick) {
             (WorkloadKind::Afs, false) => Box::new(AfsBench::paper()),
@@ -127,12 +106,12 @@ mod tests {
         // The built driver reports a name the kind's CLI name is derived
         // from (the alias loop uses a slashed display name internally).
         for w in WorkloadKind::ALL {
-            let b = w.build(true);
+            let b = w.build_step(true);
             assert!(!b.name().is_empty());
         }
-        assert_eq!(WorkloadKind::Afs.build(true).name(), "afs-bench");
+        assert_eq!(WorkloadKind::Afs.build_step(true).name(), "afs-bench");
         assert_eq!(
-            WorkloadKind::AliasUnaligned.build(true).name(),
+            WorkloadKind::AliasUnaligned.build_step(true).name(),
             "alias-loop/unaligned"
         );
     }

@@ -1,10 +1,10 @@
 //! Stepwise workload execution: the machinery behind checkpoint/restore.
 //!
-//! A monolithic [`Workload::run`] cannot be
-//! interrupted mid-flight: its progress lives in Rust stack frames, which
-//! no serializer can reach. Every driver in this crate therefore implements
-//! [`StepWorkload`] instead — a resumable state machine whose *entire*
-//! progress lives in a flat, serializable [`Cursor`]. One `step` performs
+//! A monolithic workload function cannot be interrupted mid-flight: its
+//! progress lives in Rust stack frames, which no serializer can reach.
+//! Every driver in this crate therefore implements [`StepWorkload`] — a
+//! resumable state machine whose *entire* progress lives in a flat,
+//! serializable [`Cursor`]. One `step` performs
 //! one bounded unit of the benchmark (typically one iteration of the
 //! driver's current phase loop); [`drive`] runs steps until the workload
 //! finishes or the machine's cycle counter reaches a stop point.
@@ -15,17 +15,14 @@
 //! replays the remaining steps in exactly the order the uninterrupted run
 //! would have taken — same operations, same RNG draws, same cycle counts.
 //!
-//! The blanket `impl Workload for W: StepWorkload` keeps the classic
-//! entry points ([`run_on`](crate::runner::run_on) and friends) working:
-//! they drive the same state machine to completion with no stop point, so
-//! a checkpointed run and a plain run execute identical code.
+//! [`run`](crate::runner::run) drives the same state machine to
+//! completion with no stop point, so a checkpointed run and a plain run
+//! execute identical code.
 
 use vic_core::serial::{SerialError, WordReader, WordWriter};
 use vic_core::types::CpuId;
 use vic_core::Rng64;
 use vic_os::{Kernel, OsError};
-
-use crate::runner::Workload;
 
 /// Section tag guarding a serialized cursor.
 pub const CURSOR_STATE_TAG: u64 = u64::from_le_bytes(*b"cursor-2");
@@ -199,21 +196,6 @@ pub fn drive(
         if !w.step(k, cpu, cur)? {
             return Ok(DriveOutcome::Completed);
         }
-    }
-}
-
-/// Every step workload is a classic workload: run the state machine to
-/// completion from a fresh cursor on the boot CPU. This is the *only* run
-/// path — a checkpointed run pauses the very same machine mid-stream.
-impl<W: StepWorkload> Workload for W {
-    fn name(&self) -> &'static str {
-        StepWorkload::name(self)
-    }
-
-    fn run(&self, k: &mut Kernel) -> Result<(), OsError> {
-        let mut cur = Cursor::new();
-        while self.step(k, CpuId::BOOT, &mut cur)? {}
-        Ok(())
     }
 }
 

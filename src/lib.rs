@@ -11,14 +11,18 @@
 //!   configurations A–F, and the Table 5 baseline managers;
 //! * [`vic_machine`] (as `machine`) — the simulated HP 9000/700-class memory
 //!   system (virtually indexed physically tagged write-back caches, TLB,
-//!   DMA, cycle accounting, staleness oracle);
+//!   DMA, cycle accounting, staleness oracle) and
+//!   [`Observers`](vic_machine::Observers), the one value a run's tracer,
+//!   profiler and sampler attach to it as;
 //! * [`vic_os`] (as `os`) — the Mach-like kernel (address spaces, pmap, fault
 //!   handling, IPC page transfer, buffer-cache file system);
 //! * [`vic_workloads`] (as `workloads`) — the paper's benchmark drivers
-//!   (afs-bench, latex-paper, kernel-build, alias microbenchmark);
-//! * [`vic_trace`] (as `trace`) — the structured event-tracing and metrics
-//!   layer (ring-buffer/JSON/histogram sinks, and the consistency auditor
-//!   that replays a trace against the abstract four-state model);
+//!   (afs-bench, latex-paper, kernel-build, alias microbenchmark) and
+//!   [`run`](vic_workloads::run), which drives one to completion with
+//!   observers attached;
+//! * [`vic_trace`] (as `trace`) — structured event tracing (ring-buffer,
+//!   JSON and histogram sinks, and the consistency auditor that replays a
+//!   trace against the abstract four-state model);
 //! * [`vic_metrics`] (as `metrics`) — the observability layer (live
 //!   [`Machine::inspect`](vic_machine::Machine::inspect) snapshots, the
 //!   cycle-driven occupancy sampler and progress/ETA reporting; the
