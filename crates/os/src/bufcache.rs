@@ -290,8 +290,9 @@ impl BufferCache {
     }
 
     /// Restore state saved by [`BufferCache::save_state`] into a cache with
-    /// the same slot count, rebuilding the block map.
-    pub fn restore_state(&mut self, r: &mut WordReader) -> Result<(), SerialError> {
+    /// the same slot count, rebuilding the block map. A buffer frame past
+    /// the machine's `frames` is [`SerialError::Corrupt`].
+    pub fn restore_state(&mut self, r: &mut WordReader, frames: u64) -> Result<(), SerialError> {
         let at = r.position();
         let n = r.usize()?;
         if n != self.slots.len() {
@@ -304,7 +305,7 @@ impl BufferCache {
         for (i, slot) in self.slots.iter_mut().enumerate() {
             *slot = if r.bool()? {
                 let block = BlockId(r.u32()?);
-                let frame = PFrame(r.u64()?);
+                let frame = r.frame(frames)?;
                 let dirty = r.bool()?;
                 self.map.insert(block, i);
                 Some(Buf {
